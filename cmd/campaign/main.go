@@ -1,8 +1,8 @@
 // Command campaign runs measurement campaigns: a technique × scenario ×
 // impairment × trial matrix sharded across a worker pool, streamed to a
-// JSONL file as runs complete, and aggregated into per-technique,
-// per-scenario, and per-impairment accuracy, MVR-evasion, and analyst-flag
-// tables.
+// flat observation archive as runs complete, and aggregated into
+// per-technique, per-scenario, and per-impairment accuracy, MVR-evasion,
+// and analyst-flag tables.
 //
 // Usage:
 //
@@ -14,36 +14,41 @@
 //	campaign -censor-behavior all -trials 10  # sweep every adversarial censor
 //	campaign -censor-behavior intermittent -corroborate 5  # k-of-n hardening
 //	campaign -resume -out results.jsonl     # finish an interrupted campaign
-//	campaign -trials 5 -metrics-addr :9090 -trace trace.jsonl
+//	campaign -trials 5 -metrics-addr :9090 -trace -out results.bin
 //	campaign -list
 //
-// -metrics-addr serves live Prometheus-style counters on /metrics and a JSON
-// view of per-cell campaign completion on /progress. -trace streams every
+// -out is the campaign's one durable file: flat archival observations, one
+// self-describing row per sub-measurement, analyzable with measanalyze — in
+// JSONL, or in the compact binary encoding when the path ends in .bin or
+// .smoa. Each run's rows go down as one contiguous group. -trace adds every
 // run's packet-path events (probe sent, censor alert, MVR log/discard, TTL
-// expiry, RST injection) as JSONL with virtual-time timestamps; sorting the
-// file's lines yields a byte-identical stream for any -workers value.
-// -archive streams the same runs as flat archival observations — one
-// self-describing row per sub-measurement, analyzable with measanalyze —
-// in JSONL, or in the compact binary encoding when the path ends in .bin
-// or .smoa.
+// expiry, RST injection) to the same file as trace rows with virtual-time
+// timestamps, inside the run's group. -metrics-addr serves live
+// Prometheus-style counters on /metrics and a JSON view of per-cell
+// campaign completion on /progress.
 //
 // Every run seed derives from -seed and the run's coordinates, so repeating
-// a campaign with a different -workers value yields identical records (the
-// JSONL line order is completion order; sort to compare).
+// a campaign with a different -workers value yields identical rows (the
+// file's group order is completion order; sort the rows to compare).
 //
 // Interruption is a first-class outcome, not a crash: the first SIGINT or
 // SIGTERM stops dispatching, drains in-flight runs within -grace, flushes
-// both sinks, prints the partial summary, and exits 130 with a -resume
+// the archive, prints the partial summary, and exits 130 with a -resume
 // hint; a second signal flushes best-effort and exits immediately.
-// -sync-every N bounds what a hard kill can lose to N records per sink.
+// -sync-every N bounds what a hard kill can lose to N rows. -resume repairs
+// a torn trailing row, always drops the file's final run group (a kill may
+// have cut it short; its seed makes the re-run byte-identical), skips the
+// error-free runs that remain, and appends the rest — so no partial run
+// survives a resume.
 //
 // Supervision: -breaker N trips a per-cell circuit breaker after N
 // consecutive failed runs (skipped runs are explicit records a later
 // -resume re-runs); -fail-budget F aborts the whole campaign once more than
-// fraction F of completed runs are errors, flushing the sinks and exiting 3
-// with a -resume hint; -hedge launches a second attempt for straggling runs
-// (a duration, or pNN to derive the delay from live run latency). A stall
-// watchdog dumps goroutines to stderr if no run completes for 3x -timeout.
+// fraction F of completed runs are errors, flushing the archive and exiting
+// 3 with a -resume hint; -hedge launches a second attempt for straggling
+// runs (a duration, or pNN to derive the delay from live run latency). A
+// stall watchdog dumps goroutines to stderr if no run completes for 3x
+// -timeout.
 //
 // Exit codes: 0 success, 1 run errors or internal failure, 2 usage,
 // 3 failure-budget abort (resumable), 130 interrupted (resumable).
@@ -54,7 +59,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -96,19 +100,18 @@ func main() {
 	trials := flag.Int("trials", 1, "trials per technique x scenario x impairment cell")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
 	seed := flag.Int64("seed", 1, "campaign master seed")
-	out := flag.String("out", "", "JSONL output path (- for stdout; empty writes no file)")
+	out := flag.String("out", "", "observation archive path: JSONL, or binary for a .bin/.smoa extension (- for JSONL on stdout; empty writes no file)")
 	timeout := flag.Duration("timeout", 60*time.Second, "wall-clock budget per run")
 	grace := flag.Duration("grace", 10*time.Second, "drain budget for in-flight runs after an interrupt (negative waits forever)")
-	syncEvery := flag.Int("sync-every", 64, "flush+fsync sinks every N lines so a hard crash loses at most N (0 buffers until exit)")
+	syncEvery := flag.Int("sync-every", 64, "flush+fsync the archive every N rows so a hard crash loses at most N (0 buffers until exit)")
 	breakerN := flag.Int("breaker", 0, "per-cell circuit breaker: open after N consecutive failed runs, skip during cooldown, half-open probe (0 disables)")
 	failBudget := flag.Float64("fail-budget", -1, "abort the campaign when more than this fraction of completed runs are errors (negative disables)")
 	hedgeSpec := flag.String("hedge", "", "hedge straggling runs: a duration (e.g. 500ms) or pNN (e.g. p95) derived from live run latency (empty disables)")
-	resume := flag.Bool("resume", false, "skip runs already recorded in -out and append")
+	resume := flag.Bool("resume", false, "drop -out's final run group, skip the error-free runs left in it, and append the rest")
 	list := flag.Bool("list", false, "list scenarios and techniques, then exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /progress, and /debug/pprof on this address (e.g. :9090)")
 	profContention := flag.Bool("pprof-contention", false, "record mutex and block profiles (served under -metrics-addr's /debug/pprof; costs a little on every contended lock)")
-	tracePath := flag.String("trace", "", "stream packet-path trace events to this JSONL file (- for stdout)")
-	archivePath := flag.String("archive", "", "stream flat observation rows (records and traces) to this file; a .bin/.smoa extension selects the compact binary encoding")
+	trace := flag.Bool("trace", false, "add each run's packet-path trace events to -out as trace rows")
 	flag.Parse()
 
 	if *list {
@@ -144,6 +147,10 @@ func main() {
 	}
 	if *trials < 1 {
 		fmt.Fprintf(os.Stderr, "campaign: -trials must be >= 1 (got %d)\n", *trials)
+		os.Exit(2)
+	}
+	if *trace && *out == "" {
+		fmt.Fprintln(os.Stderr, "campaign: -trace adds trace rows to -out; set -out")
 		os.Exit(2)
 	}
 	if *retries < 1 {
@@ -189,48 +196,29 @@ func main() {
 		}
 		opts.Hedge = hedge
 	}
-	var sink *campaign.JSONLSink
+	var sink *campaign.ObservationSink
+	var outFile *os.File
 	switch {
 	case *out == "-":
-		sink = campaign.NewJSONLSink(os.Stdout)
-	case *out != "" && *resume:
-		done, truncateAt, err := readDone(*out)
+		sink = campaign.NewObservationSink(archival.NewJSONLWriter(os.Stdout))
+	case *out != "":
+		var done map[campaign.DoneKey]bool
+		sink, outFile, done, err = campaign.OpenArchive(*out, *resume)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(os.Stderr, "campaign: -out:", err)
 			os.Exit(1)
 		}
-		if truncateAt >= 0 {
-			// Cut the partial trailing line off before appending, so the
-			// first new record starts on its own line.
-			if err := os.Truncate(*out, truncateAt); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign: -resume:", err)
-				os.Exit(1)
+		defer outFile.Close() // early returns; the success path checks Close
+		if *resume {
+			plan = plan.Remaining(done)
+			if len(plan.Specs) == 0 {
+				fmt.Fprintf(os.Stderr, "campaign: all %d planned runs already in %s\n", planned, *out)
+				return
 			}
 		}
-		plan = plan.Remaining(done)
-		if len(plan.Specs) == 0 {
-			fmt.Fprintf(os.Stderr, "campaign: all %d planned runs already in %s\n", planned, *out)
-			return
-		}
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink = campaign.NewJSONLSink(f)
-	case *out != "":
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink = campaign.NewJSONLSink(f)
 	}
-	// Telemetry: a registry when either endpoint consumer wants it, a
-	// progress tracker for /progress, and a trace sink for -trace. The
-	// progress tracker is built after -resume filtering so its planned
+	// Telemetry: a registry and a progress tracker for /progress when
+	// -metrics-addr is set. The progress tracker is built after -resume filtering so its planned
 	// totals reflect what this invocation will actually run.
 	var reg *telemetry.Registry
 	var prog *campaign.Progress
@@ -272,67 +260,19 @@ func main() {
 		}
 	}
 	opts.Metrics = reg
-	if sink != nil {
-		sink.SyncEvery(*syncEvery)
-		sink.Instrument(reg, "records")
-	}
-
-	var traceSink *campaign.TraceSink
-	if *tracePath != "" {
-		var tw io.Writer = os.Stdout
-		if *tracePath != "-" {
-			// Under -resume the trace file is appended like the records
-			// file; truncating it would throw away the interrupted run's
-			// events, which are still valid (the resumed runs were never
-			// traced — their coordinates are absent, not duplicated).
-			mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-			if *resume {
-				mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-			}
-			f, err := os.OpenFile(*tracePath, mode, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			tw = f
-		}
-		traceSink = campaign.NewTraceSink(tw)
-		traceSink.SyncEvery(*syncEvery)
-		traceSink.Instrument(reg, "traces")
-		opts.OnTrace = traceSink.Write
-	}
-
-	var obsSink *campaign.ObservationSink
-	if *archivePath != "" {
-		w, err := openArchive(*archivePath, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: -archive:", err)
-			os.Exit(1)
-		}
-		obsSink = campaign.NewObservationSink(w)
-		obsSink.SyncEvery(*syncEvery)
-		obsSink.Instrument(reg, "archive")
-	}
-
 	var onRecord []func(campaign.RunRecord)
 	if sink != nil {
-		onRecord = append(onRecord, sink.Write)
+		sink.SyncEvery(*syncEvery)
+		sink.Instrument(reg, "archive")
+		onRecord = append(onRecord, sink.Record)
+		if *trace {
+			// Without -trace, tracing stays off and the archive holds
+			// record rows only.
+			opts.OnTrace = sink.Trace
+		}
 	}
 	if prog != nil {
 		onRecord = append(onRecord, prog.Record)
-	}
-	if obsSink != nil {
-		onRecord = append(onRecord, obsSink.Record)
-		if traceSink != nil {
-			// Both trace consumers: the JSONL trace file and the archive.
-			// Without -trace, tracing stays off and the archive holds record
-			// rows only.
-			opts.OnTrace = func(rt campaign.RunTrace) {
-				traceSink.Write(rt)
-				obsSink.Trace(rt)
-			}
-		}
 	}
 	if len(onRecord) > 0 {
 		opts.OnRecord = func(rec campaign.RunRecord) {
@@ -343,11 +283,11 @@ func main() {
 	}
 
 	// Signal lifecycle: the first SIGINT/SIGTERM cancels the campaign
-	// context — dispatch stops, in-flight runs drain within -grace, sinks
-	// flush, and main prints the partial summary with a -resume hint. A
-	// second signal flushes best-effort and exits immediately; the JSONL
-	// file then relies on whole-line writes (plus -sync-every durability)
-	// and the tolerant trailing-line repair on resume.
+	// context — dispatch stops, in-flight runs drain within -grace, the
+	// archive flushes, and main prints the partial summary with a -resume
+	// hint. A second signal flushes best-effort and exits immediately; the
+	// file then relies on -sync-every durability and on resume's repair and
+	// final-group cut.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
@@ -371,12 +311,6 @@ func main() {
 		if sink != nil {
 			_ = sink.Flush()
 		}
-		if traceSink != nil {
-			_ = traceSink.Flush()
-		}
-		if obsSink != nil {
-			_ = obsSink.Flush()
-		}
 		os.Exit(exitInterrupted)
 	}()
 
@@ -390,15 +324,9 @@ func main() {
 	budgetAbort := errors.Is(err, campaign.ErrBudgetExceeded)
 	if err != nil && !interrupted && !budgetAbort {
 		// A callback panic (sink bug) or an empty plan: the campaign state
-		// is suspect, but flush whatever the sinks still hold first.
+		// is suspect, but flush whatever the archive still holds first.
 		if sink != nil {
 			_ = sink.Flush()
-		}
-		if traceSink != nil {
-			_ = traceSink.Flush()
-		}
-		if obsSink != nil {
-			_ = obsSink.Flush()
 		}
 		shutdownMetrics()
 		fmt.Fprintln(os.Stderr, err)
@@ -407,25 +335,15 @@ func main() {
 	elapsed := time.Since(start)
 	if sink != nil {
 		if err := sink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: sink:", err)
+			fmt.Fprintln(os.Stderr, "campaign: archive:", err)
 			os.Exit(1)
 		}
 	}
-	if traceSink != nil {
-		if err := traceSink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: trace sink:", err)
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "campaign: archive:", err)
 			os.Exit(1)
 		}
-		if *tracePath != "-" {
-			fmt.Printf("%d trace events written to %s\n", traceSink.Count(), *tracePath)
-		}
-	}
-	if obsSink != nil {
-		if err := obsSink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign: archive sink:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%d observation rows written to %s\n", obsSink.Count(), *archivePath)
 	}
 	shutdownMetrics()
 
@@ -435,10 +353,10 @@ func main() {
 		len(recs), planned, *workers, elapsed.Round(time.Millisecond),
 		float64(len(recs))/elapsed.Seconds())
 	if *out != "" && *out != "-" {
-		fmt.Printf("records appended to %s\n", *out)
+		fmt.Printf("%d observation rows written to %s\n", sink.Count(), *out)
 	}
 	if interrupted {
-		fmt.Fprintf(os.Stderr, "campaign: interrupted after %d/%d runs; sinks flushed", len(recs), len(plan.Specs))
+		fmt.Fprintf(os.Stderr, "campaign: interrupted after %d/%d runs; archive flushed", len(recs), len(plan.Specs))
 		if *out != "" && *out != "-" {
 			fmt.Fprintf(os.Stderr, "; resume with: campaign -resume -out %s [same matrix flags]", *out)
 		}
@@ -447,7 +365,7 @@ func main() {
 	}
 	if budgetAbort {
 		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintf(os.Stderr, "campaign: failure budget exceeded after %d/%d runs; sinks flushed", len(recs), len(plan.Specs))
+		fmt.Fprintf(os.Stderr, "campaign: failure budget exceeded after %d/%d runs; archive flushed", len(recs), len(plan.Specs))
 		if *out != "" && *out != "-" {
 			fmt.Fprintf(os.Stderr, "; resume with: campaign -resume -out %s [same matrix flags]", *out)
 		}
@@ -487,51 +405,4 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-// openArchive opens the -archive observation writer: the path's extension
-// picks the encoding, and under -resume the file is repaired (a torn
-// trailing record from the interrupt is cut) and appended rather than
-// truncated.
-func openArchive(path string, resume bool) (archival.Writer, error) {
-	format := archival.FormatForPath(path)
-	if !resume {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		return archival.NewWriter(f, format), nil
-	}
-	if truncated, err := archival.Repair(path); err != nil {
-		return nil, err
-	} else if truncated {
-		fmt.Fprintf(os.Stderr, "campaign: -archive: cut a torn trailing record off %s before appending\n", path)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if format != archival.FormatBinary {
-		return archival.NewJSONLWriter(f), nil
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() == 0 {
-		return archival.NewBinaryWriter(f), nil // fresh file still needs the magic
-	}
-	return archival.NewBinaryAppender(f), nil
-}
-
-// readDone loads the coordinates of error-free runs already in a JSONL
-// file via the shared campaign.ReadDoneFile identity helper. truncateAt,
-// when >= 0, is the offset of a corrupt trailing line the caller must
-// truncate away before appending.
-func readDone(path string) (map[campaign.DoneKey]bool, int64, error) {
-	return campaign.ReadDoneFile(path, func(line int, err error) {
-		fmt.Fprintf(os.Stderr, "campaign: -resume: skipping corrupt trailing line %d of %s: %v\n",
-			line, path, err)
-	})
 }

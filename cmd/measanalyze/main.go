@@ -1,7 +1,7 @@
 // Command measanalyze analyzes campaign output at archive scale: it streams
-// record files, flat observation files (JSONL or binary), and live files a
-// campaign is still appending to, in bounded memory regardless of input
-// size.
+// flat observation files (JSONL or binary), live files a campaign is still
+// appending to, and the legacy record JSONL that earlier campaign versions
+// wrote, in bounded memory regardless of input size.
 //
 // Usage:
 //
@@ -13,7 +13,8 @@
 //
 // Every subcommand accepts any of the three input shapes and sniffs which
 // one it got: the binary magic, observation JSONL (rows with "run" and
-// "type" keys), or campaign record JSONL (flattened on the fly). A torn
+// "type" keys), or legacy record JSONL (flattened on the fly; convert
+// migrates it to observation rows once and for all). A torn
 // trailing record — the normal state of a file a live campaign is appending
 // to, or of a writer killed mid-record — is skipped and counted on stderr
 // rather than treated as an error; -strict makes it fatal.
@@ -98,7 +99,7 @@ type inputKind int
 
 const (
 	kindObservations inputKind = iota // flat rows, JSONL or binary
-	kindRecords                       // campaign RunRecord JSONL
+	kindRecords                       // legacy campaign RunRecord JSONL
 )
 
 // classify sniffs the input shape from its first bytes: the binary magic,
@@ -166,7 +167,7 @@ func warnTorn(path string) func(line int, err error) {
 // is bounded by one row (or one record's rows) at a time.
 func forEachObservation(in *input, tail archival.TailPolicy, fn func(archival.Observation) error) error {
 	if in.kind == kindRecords {
-		_, err := archival.DecodeJSONL(in.br, tail, warnTorn(in.path), func(rec campaign.RunRecord) error {
+		err := archival.DecodeJSONL(in.br, tail, warnTorn(in.path), func(rec campaign.RunRecord) error {
 			for _, o := range campaign.FlattenRecord(rec) {
 				if err := fn(o); err != nil {
 					return err
@@ -197,54 +198,20 @@ func forEachObservation(in *input, tail archival.TailPolicy, fn func(archival.Ob
 	}
 }
 
-// isRecordRow reports whether an observation type carries record state (as
-// opposed to trace/packet rows, which ride alongside and reconstruct through
-// their own paths).
-func isRecordRow(typ string) bool {
-	return typ != archival.TypeTrace && typ != archival.TypePacket
-}
-
-// forEachRecord streams every run record in the input: record files decode
-// directly; observation files are regrouped by run contiguity (archives
-// write each run's rows as one contiguous batch) and unflattened. Groups
-// holding only trace or packet rows are not records and are skipped.
+// forEachRecord streams every run record in the input: legacy record files
+// decode directly; observation files regroup into records through
+// campaign.ReadRecords.
 func forEachRecord(in *input, tail archival.TailPolicy, fn func(campaign.RunRecord) error) error {
+	var err error
 	if in.kind == kindRecords {
-		_, err := archival.DecodeJSONL(in.br, tail, warnTorn(in.path), fn)
-		if err != nil {
-			return fmt.Errorf("%s: %w", in.path, err)
-		}
-		return nil
+		err = archival.DecodeJSONL(in.br, tail, warnTorn(in.path), fn)
+	} else {
+		err = campaign.ReadRecords(in.br, tail, warnTorn(in.path), fn)
 	}
-	var batch []archival.Observation
-	hasRecordRows := false
-	flush := func() error {
-		defer func() { batch, hasRecordRows = batch[:0], false }()
-		if !hasRecordRows {
-			return nil
-		}
-		rec, err := campaign.UnflattenRecord(batch)
-		if err != nil {
-			return fmt.Errorf("%s: %w", in.path, err)
-		}
-		return fn(rec)
-	}
-	err := forEachObservation(in, tail, func(o archival.Observation) error {
-		if len(batch) > 0 && o.Run != batch[0].Run {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, o)
-		if isRecordRow(o.Type) {
-			hasRecordRows = true
-		}
-		return nil
-	})
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", in.path, err)
 	}
-	return flush()
+	return nil
 }
 
 // cellKey orders cells the same way campaign summaries do.

@@ -162,7 +162,7 @@ func main() {
 
 	risk := core.EvaluateRisk(l, lab.ClientAddr)
 	if *jsonOut {
-		// The same record shape the campaign JSONL sink writes, so ad-hoc
+		// The record shape campaign archives flatten into rows, so ad-hoc
 		// runs and campaign post-processing share tooling. elapsed_ms is
 		// virtual (simulated) time — identical across re-runs of a seed.
 		rec := core.NewRecord(res, risk, *seed, l.Sim.Now())

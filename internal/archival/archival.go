@@ -17,10 +17,14 @@
 //     field-presence bitmap and varint integers — several times smaller and
 //     faster to decode than JSONL at millions-of-records scale.
 //
-// The package also hosts the ONE shared JSONL reader/writer implementation
-// (Sink, DecodeJSONL) that the campaign sink, the resume reader, and the
-// measured service stream all build on, so torn-trailing-line tolerance
-// lives in exactly one place.
+// An observation file is the one durable output of a campaign (cmd/campaign
+// -out) and of the measured service's archive. Both writers embed the shared
+// Sink, and Reader plus Repair are the one torn-tail path every consumer
+// reads and appends through. Rows regroup into run records in package
+// campaign (ReadRecords), which also cuts an interrupted file's final run
+// group before a resume appends (CutRunTail). DecodeJSONL remains for
+// the legacy record JSONL that earlier campaign versions wrote, which
+// measanalyze still reads and converts.
 package archival
 
 import (

@@ -327,29 +327,38 @@ func TestDecodeJSONLResumeSemantics(t *testing.T) {
 	type rec struct {
 		A int `json:"a"`
 	}
-	// Clean stream.
-	recs, truncAt, err := ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":2}\n"), TailTolerate, nil)
-	if err != nil || truncAt != -1 || len(recs) != 2 {
-		t.Fatalf("clean: recs=%v truncAt=%d err=%v", recs, truncAt, err)
-	}
-	// Torn tail: offset points at the start of the bad line.
-	warned := 0
-	recs, truncAt, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":"), TailTolerate,
-		func(line int, err error) {
-			warned++
-			if line != 2 {
-				t.Fatalf("warn line = %d, want 2", line)
-			}
+	decode := func(in string, tail TailPolicy, warn func(int, error)) ([]rec, error) {
+		var out []rec
+		err := DecodeJSONL(strings.NewReader(in), tail, warn, func(r rec) error {
+			out = append(out, r)
+			return nil
 		})
-	if err != nil || len(recs) != 1 || truncAt != 8 || warned != 1 {
-		t.Fatalf("torn: recs=%v truncAt=%d warned=%d err=%v", recs, truncAt, warned, err)
+		return out, err
+	}
+	// Clean stream.
+	recs, err := decode("{\"a\":1}\n{\"a\":2}\n", TailTolerate, func(line int, err error) {
+		t.Fatalf("clean stream warned about line %d: %v", line, err)
+	})
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("clean: recs=%v err=%v", recs, err)
+	}
+	// Torn tail: skipped, and warn names the bad line.
+	warned := 0
+	recs, err = decode("{\"a\":1}\n{\"a\":", TailTolerate, func(line int, err error) {
+		warned++
+		if line != 2 {
+			t.Fatalf("warn line = %d, want 2", line)
+		}
+	})
+	if err != nil || len(recs) != 1 || warned != 1 {
+		t.Fatalf("torn: recs=%v warned=%d err=%v", recs, warned, err)
 	}
 	// Mid-stream corruption errors even under TailTolerate.
-	if _, _, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":\nok\n"), TailTolerate, nil); err == nil {
+	if _, err = decode("{\"a\":\nok\n", TailTolerate, nil); err == nil {
 		t.Fatal("mid-stream corruption accepted")
 	}
 	// Strict mode rejects the torn tail outright.
-	if _, _, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":"), TailStrict, nil); err == nil {
+	if _, err = decode("{\"a\":1}\n{\"a\":", TailStrict, nil); err == nil {
 		t.Fatal("strict accepted a torn tail")
 	}
 }

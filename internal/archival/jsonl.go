@@ -18,9 +18,9 @@ const (
 	scanMax = 1 << 20
 )
 
-// MarshalLine renders v as one JSONL line, newline included — the single
-// line-encoding implementation behind the campaign sink, the measured
-// service stream, and the archival writers.
+// MarshalLine renders v as one JSONL line, newline included — the line
+// encoding of the measured service stream. JSONLWriter's json.Encoder emits
+// the same bytes for each observation row.
 func MarshalLine(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -35,9 +35,8 @@ type syncer interface{ Sync() error }
 
 // Sink is the shared record-stream writer: a mutex-guarded bufio writer
 // with whole-record writes, an every-N-records flush-and-fsync durability
-// policy, and optional flush/sync telemetry. The campaign record and trace
-// sinks and the archival observation writers all embed it; they differ only
-// in how a record becomes bytes.
+// policy, and optional flush/sync telemetry. Both observation writers embed
+// it; they differ only in how a row becomes bytes.
 //
 // Records are written whole under the lock, so a writer killed mid-stream
 // leaves a valid prefix plus at most one torn trailing record — the exact
@@ -78,31 +77,13 @@ func (s *Sink) InstrumentSink(reg *telemetry.Registry, flushMetric, syncMetric, 
 	s.syncs = reg.Counter(telemetry.Labels(syncMetric, "sink", name))
 }
 
-// WriteRecords appends the already-encoded records (framing included)
-// atomically: all of them land contiguously under one lock acquisition, and
-// each counts toward the SetSyncEvery policy. The first I/O error is
-// retained and reported by Flush; later writes after an error are dropped.
-func (s *Sink) WriteRecords(raws ...[]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, raw := range raws {
-		if s.err != nil {
-			return
-		}
-		if _, err := s.w.Write(raw); err != nil {
-			s.err = err
-			return
-		}
-		s.wroteLocked()
-	}
-}
-
 // WriteBatch appends one pre-encoded batch of n records (framing included)
 // with a single write under one lock acquisition. Encoding a whole run's
 // rows before taking the lock keeps concurrent workers' serialization work
 // parallel; only the copy into the bufio layer is serialized. The batch
-// lands contiguously (same torn-tail guarantee as WriteRecords) and each of
-// the n records counts toward the SetSyncEvery policy.
+// lands contiguously, so a writer killed mid-stream leaves a valid prefix
+// plus at most one torn trailing record, and each of the n records counts
+// toward the SetSyncEvery policy.
 func (s *Sink) WriteBatch(raw []byte, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,43 +109,9 @@ func (s *Sink) Fail(err error) {
 	}
 }
 
-// batchBufs pools the scratch buffers batch writers encode into before
-// handing the Sink one contiguous WriteBatch.
+// batchBufs pools the scratch buffers JSONLWriter encodes a batch into
+// before handing the Sink one contiguous WriteBatch.
 var batchBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GetBatchBuf returns an empty pooled buffer for staging one batch ahead of
-// a WriteBatch call; pair it with PutBatchBuf once the batch is written.
-func GetBatchBuf() *bytes.Buffer {
-	b := batchBufs.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-// PutBatchBuf returns a staging buffer to the pool.
-func PutBatchBuf(b *bytes.Buffer) { batchBufs.Put(b) }
-
-// EncodeLines marshals each value as one JSONL line and appends the batch
-// atomically. The first encoding or I/O error is retained; later writes are
-// dropped.
-func (s *Sink) EncodeLines(vals ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range vals {
-		if s.err != nil {
-			return
-		}
-		raw, err := MarshalLine(v)
-		if err != nil {
-			s.err = err
-			return
-		}
-		if _, err := s.w.Write(raw); err != nil {
-			s.err = err
-			return
-		}
-		s.wroteLocked()
-	}
-}
 
 // wroteLocked accounts one written record and applies the SetSyncEvery
 // policy.
@@ -233,64 +180,41 @@ const (
 
 // DecodeJSONL streams records of type T from a JSONL stream, calling fn for
 // each. Empty lines are skipped. Under TailTolerate a bad final line is
-// skipped (warn, when non-nil, is told which line and why) and truncateAt
-// reports the byte offset where the torn tail begins — a caller that
-// intends to APPEND to the underlying file must truncate it there first.
-// truncateAt is -1 when the stream is clean. Offsets assume LF line
-// endings, which is what Sink writes. A non-nil error from fn stops the
-// scan and is returned verbatim.
-func DecodeJSONL[T any](r io.Reader, tail TailPolicy, warn func(line int, err error), fn func(T) error) (truncateAt int64, err error) {
+// skipped and warn, when non-nil, is told which line and why. A non-nil
+// error from fn stops the scan and is returned verbatim.
+func DecodeJSONL[T any](r io.Reader, tail TailPolicy, warn func(line int, err error), fn func(T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, scanBuf), scanMax)
 	line := 0
 	badLine := 0
-	var off, badStart int64
 	var badErr error
 	for sc.Scan() {
 		line++
-		lineStart := off
-		off += int64(len(sc.Bytes())) + 1
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
 		if badErr != nil {
 			// The bad line has non-empty data after it, so it was not a
 			// trailing partial write.
-			return -1, fmt.Errorf("archival: jsonl line %d: %w", badLine, badErr)
+			return fmt.Errorf("archival: jsonl line %d: %w", badLine, badErr)
 		}
 		var rec T
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			if tail == TailStrict {
-				return -1, fmt.Errorf("archival: jsonl line %d: %w", line, err)
+				return fmt.Errorf("archival: jsonl line %d: %w", line, err)
 			}
-			badLine, badErr, badStart = line, err, lineStart
+			badLine, badErr = line, err
 			continue
 		}
 		if err := fn(rec); err != nil {
-			return -1, err
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return -1, err
+		return err
 	}
-	if badErr != nil {
-		if warn != nil {
-			warn(badLine, badErr)
-		}
-		return badStart, nil
+	if badErr != nil && warn != nil {
+		warn(badLine, badErr)
 	}
-	return -1, nil
-}
-
-// ReadAllJSONL collects every record DecodeJSONL yields.
-func ReadAllJSONL[T any](r io.Reader, tail TailPolicy, warn func(line int, err error)) ([]T, int64, error) {
-	var out []T
-	truncateAt, err := DecodeJSONL(r, tail, warn, func(rec T) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, -1, err
-	}
-	return out, truncateAt, nil
+	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"safemeasure/internal/telemetry"
 )
 
 // Format names an observation encoding.
@@ -45,6 +47,7 @@ type Writer interface {
 	Count() int
 	Flush() error
 	SetSyncEvery(n int)
+	InstrumentSink(reg *telemetry.Registry, flushMetric, syncMetric, name string)
 }
 
 // JSONLWriter streams observations as JSONL through the shared Sink.
@@ -64,19 +67,20 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 // single contiguous write, removing the per-row allocations that otherwise
 // dominate the archive path under concurrent workers.
 func (jw *JSONLWriter) WriteObservations(obs []Observation) {
-	b := GetBatchBuf()
+	b := batchBufs.Get().(*bytes.Buffer)
+	b.Reset()
 	enc := json.NewEncoder(b)
 	for i := range obs {
 		// Encoder.Encode emits json.Marshal's bytes plus '\n' — the same
 		// framing as MarshalLine — without an intermediate allocation.
 		if err := enc.Encode(&obs[i]); err != nil {
 			jw.Fail(err)
-			PutBatchBuf(b)
+			batchBufs.Put(b)
 			return
 		}
 	}
 	jw.WriteBatch(b.Bytes(), len(obs))
-	PutBatchBuf(b)
+	batchBufs.Put(b)
 }
 
 // BinaryWriter streams observations in the binary encoding through the

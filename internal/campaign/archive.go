@@ -1,7 +1,11 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"sort"
 
 	"safemeasure/internal/archival"
@@ -133,6 +137,20 @@ func ObservationSpec(o archival.Observation) RunSpec {
 	}
 }
 
+// RunTrace is one run's packet-path event stream plus the plan coordinates
+// (and lab seed) that identify it. Events are in emission order and carry
+// virtual-time timestamps, so a run's trace depends only on its seed —
+// never on worker count or scheduling.
+type RunTrace struct {
+	Scenario   string
+	Impairment string // "" means the pristine link
+	Behavior   string // "" means the faithful censor
+	Technique  string
+	Trial      int
+	Seed       int64
+	Events     []telemetry.Event
+}
+
 // FlattenTrace decomposes one run's packet-path trace into observation rows
 // (one per event, ordered by Seq), sharing the run ID of the record rows so
 // traces join records by cell identity.
@@ -237,47 +255,123 @@ func seqSlice(m map[int]string) []string {
 	return out
 }
 
-// ObservationSink adapts an archival writer to the campaign callbacks: each
-// completed run's record (and, when tracing is on, its trace) is flattened
-// into observation rows and written as one contiguous batch, so archives
-// stay run-contiguous — the property the streaming analyzers group by.
-// Record and Trace are safe to call from multiple workers (the underlying
-// archival.Sink serializes batches).
-type ObservationSink struct {
-	w archival.Writer
-}
-
-// NewObservationSink wraps an archival writer.
-func NewObservationSink(w archival.Writer) *ObservationSink {
-	return &ObservationSink{w: w}
-}
-
-// Record flattens and archives one run record (an Options.OnRecord hook).
-func (s *ObservationSink) Record(rec RunRecord) {
-	s.w.WriteObservations(FlattenRecord(rec))
-}
-
-// Trace flattens and archives one run's trace (an Options.OnTrace hook).
-func (s *ObservationSink) Trace(rt RunTrace) {
-	s.w.WriteObservations(FlattenTrace(rt))
-}
-
-// Count reports how many observation rows were written.
-func (s *ObservationSink) Count() int { return s.w.Count() }
-
-// Flush drains the underlying writer.
-func (s *ObservationSink) Flush() error { return s.w.Flush() }
-
-// SyncEvery forwards the durability knob to the underlying writer.
-func (s *ObservationSink) SyncEvery(n int) { s.w.SetSyncEvery(n) }
-
-// Instrument publishes the underlying sink's flush/sync activity when the
-// writer supports it (both archival writers do).
-func (s *ObservationSink) Instrument(reg *telemetry.Registry, name string) {
-	type instrumenter interface {
-		InstrumentSink(reg *telemetry.Registry, flushMetric, syncMetric, name string)
+// ReadRecords streams the run records of an observation archive, in either
+// encoding, into fn in file order. Rows regroup by contiguous run ID (an
+// ObservationSink writes each run as one contiguous group) and each group
+// unflattens into one record. Groups holding only trace or packet rows are
+// skipped: archives written before a run's trace and record rows shared
+// one batch carry them. tail and warn are archival.NewReader's; a non-nil
+// error from fn stops the scan and is returned verbatim.
+func ReadRecords(r io.Reader, tail archival.TailPolicy, warn func(line int, err error), fn func(RunRecord) error) error {
+	rd, err := archival.NewReader(r, tail, warn)
+	if err != nil {
+		return err
 	}
-	if in, ok := s.w.(instrumenter); ok {
-		in.InstrumentSink(reg, "campaign_sink_flush_total", "campaign_sink_sync_total", name)
+	return forEachGroup(rd, func(group []archival.Observation) error {
+		if !slices.ContainsFunc(group, isRecordRow) {
+			return nil
+		}
+		rec, err := UnflattenRecord(group)
+		if err != nil {
+			return err
+		}
+		return fn(rec)
+	})
+}
+
+// isRecordRow reports whether a row carries record state, as opposed to
+// trace and packet rows, which reconstruct through their own paths.
+func isRecordRow(o archival.Observation) bool {
+	return o.Type != archival.TypeTrace && o.Type != archival.TypePacket
+}
+
+// forEachGroup streams rd's rows to fn one run group at a time: a maximal
+// run of consecutive rows sharing a run ID. fn must not keep the slice.
+func forEachGroup(rd *archival.Reader, fn func([]archival.Observation) error) error {
+	var group []archival.Observation
+	for {
+		o, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if len(group) > 0 && o.Run != group[0].Run {
+			if err := fn(group); err != nil {
+				return err
+			}
+			group = group[:0]
+		}
+		group = append(group, o)
 	}
+	if len(group) == 0 {
+		return nil
+	}
+	return fn(group)
+}
+
+// CutRunTail truncates trailing run groups off the observation archive at
+// path, reporting how many it cut. cut judges each group, final marking the
+// file's last one: the cut takes the final group if cut accepts it, together
+// with the unbroken run of groups directly before it that cut accepts (with
+// final false). Each run's rows go down as one contiguous batch, but a
+// writer killed mid-batch leaves the batch short, and a row prefix
+// unflattens to a plausible record, so content cannot tell a whole final
+// group from a partial one; only the final group can be partial. The file
+// must end on a row boundary (archival.Repair first); a torn row is an
+// error here. A missing file is left alone.
+func CutRunTail(path string, cut func(group []archival.Observation, final bool) bool) (int, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	rd, err := archival.NewReader(f, archival.TailStrict, nil)
+	if err != nil {
+		return 0, err
+	}
+	// tail holds the accepted groups before the latest one, then the latest.
+	var tail [][]archival.Observation
+	if err := forEachGroup(rd, func(group []archival.Observation) error {
+		if n := len(tail); n > 0 && !cut(tail[n-1], false) {
+			tail = tail[:0]
+		}
+		tail = append(tail, append([]archival.Observation(nil), group...))
+		return nil
+	}); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(tail) == 0 || !cut(tail[len(tail)-1], true) {
+		return 0, nil
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	// Re-encode the groups to learn their byte length; both encoders are
+	// deterministic, so the re-encoding matches what the writers wrote.
+	var tailLen int64
+	var scratch []byte
+	for _, group := range tail {
+		for i := range group {
+			if rd.Format() == archival.FormatBinary {
+				scratch = archival.AppendObservation(scratch[:0], &group[i])
+				tailLen += int64(len(scratch))
+				continue
+			}
+			b, err := json.Marshal(&group[i])
+			if err != nil {
+				return 0, err
+			}
+			tailLen += int64(len(b)) + 1
+		}
+	}
+	if tailLen > info.Size() {
+		return 0, fmt.Errorf("%s: trailing run groups re-encode to %d bytes, file has %d", path, tailLen, info.Size())
+	}
+	return len(tail), os.Truncate(path, info.Size()-tailLen)
 }

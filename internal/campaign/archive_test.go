@@ -3,8 +3,9 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -90,38 +91,7 @@ func TestFlattenRoundTripThroughBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := archival.NewReader(&buf, archival.TailStrict, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []RunRecord
-	var runObs []archival.Observation
-	flushRun := func() {
-		if len(runObs) == 0 {
-			return
-		}
-		rec, err := UnflattenRecord(runObs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rec)
-		runObs = runObs[:0]
-	}
-	for {
-		o, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(runObs) > 0 && o.Run != runObs[0].Run {
-			flushRun()
-		}
-		runObs = append(runObs, o)
-	}
-	flushRun()
-	if !reflect.DeepEqual(got, recs) {
+	if got := readRecords(t, &buf); !reflect.DeepEqual(got, recs) {
 		t.Fatalf("pipeline round trip diverged: got %d records, want %d", len(got), len(recs))
 	}
 }
@@ -221,5 +191,95 @@ func TestFlattenTraceJoinsRecordRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("got %+v want %+v", got, rec)
+	}
+}
+
+// TestCutRunTailLeavesOnlyWholeRuns is the resume rule's regression test.
+// A multi-run archive, in each encoding, is cut at every byte offset inside
+// its last two run groups — every wreck a kill can leave. Repair plus
+// CutRunTail of the final group must leave the file on a run-group boundary with every
+// record reading back equal to an original. Frame-level Repair alone must
+// not pass: somewhere a cut row prefix reads back as a wrong record.
+func TestCutRunTailLeavesOnlyWholeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var recs []RunRecord
+	var traces []RunTrace
+	for i := 0; i < 3; i++ {
+		rec := randRunRecord(rng)
+		rec.Trial = i                               // distinct runs
+		rec.CoverAddresses, rec.Evidence = nil, nil // keeps the byte sweep short
+		recs = append(recs, rec)
+		rt := RunTrace{Scenario: rec.Scenario, Impairment: rec.Impairment, Technique: rec.Technique,
+			Trial: rec.Trial, Seed: rec.Seed}
+		for j := 0; j < i; j++ {
+			rt.Events = append(rt.Events, telemetry.Event{T: int64(10 * (j + 1)), Kind: "probe-sent", Detail: "GET /"})
+		}
+		traces = append(traces, rt)
+	}
+	path := filepath.Join(t.TempDir(), "wreck")
+	for _, format := range []archival.Format{archival.FormatJSONL, archival.FormatBinary} {
+		t.Run(format.String(), func(t *testing.T) {
+			var full bytes.Buffer
+			sink := NewObservationSink(archival.NewWriter(&full, format))
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			bounds := map[int64]bool{int64(full.Len()): true} // after the header
+			var starts []int64
+			for i := range recs {
+				starts = append(starts, int64(full.Len()))
+				sink.Trace(traces[i])
+				sink.Record(recs[i])
+				if err := sink.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				bounds[int64(full.Len())] = true
+			}
+			wrongAfterRepairOnly := 0
+			for off := starts[len(starts)-2]; off <= int64(full.Len()); off++ {
+				for _, cut := range []bool{false, true} {
+					if !cut && wrongAfterRepairOnly > 0 {
+						continue // the repair-only control has already failed once
+					}
+					if err := os.WriteFile(path, full.Bytes()[:off], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := archival.Repair(path); err != nil {
+						t.Fatalf("off %d: repair: %v", off, err)
+					}
+					if cut {
+						if _, err := CutRunTail(path, func(_ []archival.Observation, final bool) bool { return final }); err != nil {
+							t.Fatalf("off %d: cut: %v", off, err)
+						}
+					}
+					raw, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wrong := 0
+					if err := ReadRecords(bytes.NewReader(raw), archival.TailStrict, nil, func(rec RunRecord) error {
+						if rec.Trial < 0 || rec.Trial >= len(recs) || !reflect.DeepEqual(rec, recs[rec.Trial]) {
+							wrong++
+						}
+						return nil
+					}); err != nil {
+						t.Fatalf("off %d cut=%v: %v", off, cut, err)
+					}
+					if !cut {
+						wrongAfterRepairOnly += wrong
+						continue
+					}
+					if wrong > 0 {
+						t.Fatalf("off %d: %d records read back wrong after repair and cut", off, wrong)
+					}
+					if n := int64(len(raw)); !bounds[n] || n > off {
+						t.Fatalf("off %d: file ends at %d, not on a run-group boundary at or before the cut", off, n)
+					}
+				}
+			}
+			if wrongAfterRepairOnly == 0 {
+				t.Fatal("frame-level repair alone never kept a partial run; the test lost its teeth")
+			}
+		})
 	}
 }

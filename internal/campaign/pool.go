@@ -174,7 +174,7 @@ type Options struct {
 	// counter.
 	StallDump io.Writer
 	// OnRecord, when set, receives every record as its run completes —
-	// typically a JSONL sink's Write. It may be called from multiple
+	// typically an ObservationSink's Record. It may be called from multiple
 	// workers at once; sinks in this package are safe for that. A panic in
 	// the callback is recovered and retained as the campaign's error — it
 	// never kills the worker (which would strand the spec feed).

@@ -1,10 +1,5 @@
 package campaign
 
-import (
-	"fmt"
-	"os"
-)
-
 // DoneKey is the resume identity of a run: its plan coordinates with the
 // impairment and behavior names canonicalized (the pristine link and the
 // faithful censor are "", matching the omitempty JSONL forms), so files
@@ -64,27 +59,4 @@ func DoneSet(recs []RunRecord) map[DoneKey]bool {
 // campaign would have produced.
 func (p *Plan) Remaining(done map[DoneKey]bool) *Plan {
 	return p.Filter(func(s RunSpec) bool { return !done[s.Key()] })
-}
-
-// ReadDoneFile loads the resume identities of the error-free runs recorded
-// in a JSONL file — the shared entry point of every consumer that resumes
-// or dedupes against a records file (cmd/campaign -resume, cache warming).
-// A missing file is an empty done set, not an error. truncateAt, when >= 0,
-// is the byte offset of a corrupt trailing line (the wreckage of a campaign
-// killed mid-write) that a caller intending to append must truncate away
-// first; warn, when non-nil, is told about the skipped line.
-func ReadDoneFile(path string, warn func(line int, err error)) (map[DoneKey]bool, int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[DoneKey]bool{}, -1, nil
-	}
-	if err != nil {
-		return nil, -1, err
-	}
-	defer f.Close()
-	recs, truncateAt, err := ReadJSONLResume(f, warn)
-	if err != nil {
-		return nil, -1, fmt.Errorf("campaign: %s: %w", path, err)
-	}
-	return DoneSet(recs), truncateAt, nil
 }

@@ -1,71 +1,145 @@
 package campaign
 
 import (
-	"fmt"
-	"io"
+	"os"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"safemeasure/internal/archival"
 	"safemeasure/internal/telemetry"
 )
 
-// JSONLSink streams run records to a writer, one JSON object per line, as
-// they complete. Write is safe to call from multiple workers; lines are
-// written whole, so a campaign interrupted mid-flight leaves a valid prefix
-// that a later -resume can read back. The buffering, durability, and
-// torn-tail story all come from the shared archival.Sink.
-type JSONLSink struct {
-	archival.Sink
+// ObservationSink adapts an archival writer to the campaign callbacks: each
+// completed run is flattened into observation rows and written as one
+// contiguous batch — its trace rows (when tracing is on) followed by its
+// record rows — so every run is exactly one group in the file. That is the
+// property ReadRecords regroups by and CutRunTail relies on. Record and
+// Trace are safe to call from multiple workers (the underlying archival.Sink
+// serializes batches).
+type ObservationSink struct {
+	w archival.Writer
+
+	// traced is set by the first Trace call, so an untraced campaign's
+	// Record never touches mu.
+	traced atomic.Bool
+	mu     sync.Mutex
+	traces map[uint64][]archival.Observation // run ID -> held trace rows
 }
 
-// NewJSONLSink wraps a writer.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{}
-	s.Reset(w)
-	return s
+// NewObservationSink wraps an archival writer.
+func NewObservationSink(w archival.Writer) *ObservationSink {
+	return &ObservationSink{w: w}
 }
 
-// SyncEvery bounds how much a hard crash can lose: every n records the sink
-// flushes its bufio layer and, when the underlying writer is a file, syncs
-// it to stable storage — so at most n records ride in volatile buffers at
-// any moment. n <= 0 restores the default (buffer until Flush).
-func (s *JSONLSink) SyncEvery(n int) { s.SetSyncEvery(n) }
+// Record archives one run (an Options.OnRecord hook): the trace rows Trace
+// holds for it, then its record rows, in one WriteObservations batch.
+func (s *ObservationSink) Record(rec RunRecord) {
+	rows := FlattenRecord(rec)
+	if s.traced.Load() {
+		run := archiveRunID(rec.Technique, rec.Scenario, rec.Impairment, rec.Behavior, rec.Trial, rec.Seed)
+		s.mu.Lock()
+		held := s.traces[run]
+		delete(s.traces, run)
+		s.mu.Unlock()
+		if len(held) > 0 {
+			rows = append(held, rows...)
+		}
+	}
+	s.w.WriteObservations(rows)
+}
 
-// Instrument publishes the sink's flush/sync activity to reg as
+// Trace flattens one run's trace and holds the rows until that run's Record
+// arrives (an Options.OnTrace hook; the pool publishes a run's trace before
+// its record). Wire Record as OnRecord whenever Trace is OnTrace, or the
+// held rows are never written.
+func (s *ObservationSink) Trace(rt RunTrace) {
+	rows := FlattenTrace(rt)
+	if len(rows) == 0 {
+		return
+	}
+	s.mu.Lock()
+	if s.traces == nil {
+		s.traces = make(map[uint64][]archival.Observation)
+	}
+	s.traces[rows[0].Run] = rows
+	s.mu.Unlock()
+	s.traced.Store(true)
+}
+
+// Count reports how many observation rows were written.
+func (s *ObservationSink) Count() int { return s.w.Count() }
+
+// Flush drains the underlying writer.
+func (s *ObservationSink) Flush() error { return s.w.Flush() }
+
+// SyncEvery makes the writer flush (and, on files, fsync) once at least n
+// rows accumulated, bounding what a hard crash can lose. n <= 0 buffers
+// until Flush.
+func (s *ObservationSink) SyncEvery(n int) { s.w.SetSyncEvery(n) }
+
+// Instrument publishes the writer's flush/sync activity to reg as
 // campaign_sink_flush_total{sink=name} and campaign_sink_sync_total{sink=name}.
-func (s *JSONLSink) Instrument(reg *telemetry.Registry, name string) {
-	s.InstrumentSink(reg, "campaign_sink_flush_total", "campaign_sink_sync_total", name)
+func (s *ObservationSink) Instrument(reg *telemetry.Registry, name string) {
+	s.w.InstrumentSink(reg, "campaign_sink_flush_total", "campaign_sink_sync_total", name)
 }
 
-// Write emits one record. The first encoding or I/O error is retained and
-// reported by Flush; later writes after an error are dropped.
-func (s *JSONLSink) Write(rec RunRecord) { s.EncodeLines(rec) }
-
-// ReadJSONL parses records back from a JSONL stream — the aggregation and
-// resume path for campaigns written earlier.
-func ReadJSONL(r io.Reader) ([]RunRecord, error) {
-	recs, _, err := archival.ReadAllJSONL[RunRecord](r, archival.TailStrict, nil)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+// OpenArchive opens path as a campaign's observation archive, its one
+// durable output, in the encoding the extension picks
+// (archival.FormatForPath). Without resume the file is created afresh and
+// done is nil. With resume it is prepared to finish an interrupted campaign
+// in four steps: archival.Repair cuts a torn trailing row; CutRunTail drops
+// the final run group, which the interrupt may have cut short, along with
+// the error-record groups directly before it; the error-free records that
+// remain form done; and the sink appends after them. No partial run can
+// survive, and the dropped runs re-execute (seeds make them byte-identical).
+// Dropping the trailing error groups keeps a re-run from landing next to a
+// group of its own run, where the two would read back as one record. The
+// caller closes f after flushing the sink.
+func OpenArchive(path string, resume bool) (sink *ObservationSink, f *os.File, done map[DoneKey]bool, err error) {
+	format := archival.FormatForPath(path)
+	if !resume {
+		if f, err = os.Create(path); err != nil {
+			return nil, nil, nil, err
+		}
+		return NewObservationSink(archival.NewWriter(f, format)), f, nil, nil
 	}
-	return recs, nil
-}
-
-// ReadJSONLResume parses records like ReadJSONL, but tolerates a truncated
-// or corrupt FINAL line — the normal wreckage of a campaign killed mid-write
-// (the sink writes whole lines, so at most the last one can be partial). The
-// bad line is skipped and warn, when non-nil, is told which line and why.
-// Corruption anywhere before the last non-empty line still aborts: that
-// indicates real file damage, not an interrupted append.
-//
-// truncateAt is the byte offset where the corrupt tail begins, or -1 when
-// the stream is clean. A caller that intends to APPEND to the underlying
-// file must truncate it there first, or the first appended record would be
-// glued onto the partial line. Offsets assume LF line endings — what
-// JSONLSink writes.
-func ReadJSONLResume(r io.Reader, warn func(line int, err error)) (recs []RunRecord, truncateAt int64, err error) {
-	recs, truncateAt, err = archival.ReadAllJSONL[RunRecord](r, archival.TailTolerate, warn)
-	if err != nil {
-		return nil, -1, fmt.Errorf("campaign: %w", err)
+	if _, err := archival.Repair(path); err != nil {
+		return nil, nil, nil, err
 	}
-	return recs, truncateAt, nil
+	if _, err := CutRunTail(path, func(group []archival.Observation, final bool) bool {
+		return final || slices.ContainsFunc(group, func(o archival.Observation) bool {
+			return o.Type == archival.TypeError
+		})
+	}); err != nil {
+		return nil, nil, nil, err
+	}
+	if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err != nil {
+		return nil, nil, nil, err
+	}
+	done = make(map[DoneKey]bool)
+	err = ReadRecords(f, archival.TailStrict, nil, func(rec RunRecord) error {
+		if rec.Error == "" {
+			done[rec.Key()] = true
+		}
+		return nil
+	})
+	var st os.FileInfo
+	if err == nil {
+		st, err = f.Stat()
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, nil, err
+	}
+	var w archival.Writer
+	switch {
+	case format != archival.FormatBinary:
+		w = archival.NewJSONLWriter(f)
+	case st.Size() == 0:
+		w = archival.NewBinaryWriter(f) // a fresh file still needs the magic
+	default:
+		w = archival.NewBinaryAppender(f)
+	}
+	return NewObservationSink(w), f, done, nil
 }

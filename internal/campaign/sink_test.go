@@ -3,14 +3,19 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/telemetry"
 )
 
+// fakeRecord builds a record that flattens to exactly one (verdict) row.
 func fakeRecord(scenario, technique string, trial int) RunRecord {
 	rec := RunRecord{Scenario: scenario, Trial: trial}
 	rec.Technique = technique
@@ -20,77 +25,101 @@ func fakeRecord(scenario, technique string, trial int) RunRecord {
 	return rec
 }
 
+// readRecords reads every record of an archive stream strictly.
+func readRecords(t *testing.T, r io.Reader) []RunRecord {
+	t.Helper()
+	var recs []RunRecord
+	if err := ReadRecords(r, archival.TailStrict, nil, func(rec RunRecord) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// writeArchiveFile writes recs as a JSONL archive at a fresh path.
+func writeArchiveFile(t *testing.T, recs ...RunRecord) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	sink, f, _, err := OpenArchive(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		sink.Record(rec)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestJSONLSinkRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
 	want := []RunRecord{
 		fakeRecord("dns-poison", "spam", 0),
 		fakeRecord("dns-poison", "spam", 1),
 		fakeRecord("open", "overt-dns", 0),
 	}
 	for _, rec := range want {
-		sink.Write(rec)
+		sink.Record(rec)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Count() != len(want) {
-		t.Fatalf("count = %d, want %d", sink.Count(), len(want))
+		t.Fatalf("count = %d rows, want %d", sink.Count(), len(want))
 	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read back %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], want[i])
-		}
+	if got := readRecords(t, &buf); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestJSONLSinkConcurrentWrites(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
 	const n = 200
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sink.Write(fakeRecord("open", "spam", i))
+			rec := fakeRecord("open", "spam", i)
+			rec.Evidence = []string{"a", "b", "c"} // multi-row groups
+			sink.Record(rec)
 		}(i)
 	}
 	wg.Wait()
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatalf("concurrent writes interleaved: %v", err)
-	}
+	recs := readRecords(t, &buf)
 	if len(recs) != n {
-		t.Fatalf("read %d records, want %d", len(recs), n)
+		t.Fatalf("read %d records, want %d: run groups interleaved", len(recs), n)
 	}
 	seen := map[int]bool{}
 	for _, r := range recs {
-		if seen[r.Trial] {
-			t.Fatalf("trial %d written twice", r.Trial)
+		if seen[r.Trial] || len(r.Evidence) != 3 {
+			t.Fatalf("trial %d written twice or split: %+v", r.Trial, r)
 		}
 		seen[r.Trial] = true
 	}
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"scenario\":\"open\"}\nnot json\n"))
+	row := `{"id":"1","run":"7","type":"verdict","technique":"spam","scenario":"open","trial":0,"seed":0,"name":"censored"}`
+	err := ReadRecords(strings.NewReader(row+"\nnot json\n"), archival.TailStrict, nil,
+		func(RunRecord) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-2 parse failure", err)
 	}
-	recs, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty stream: %v, %v", recs, err)
+	if recs := readRecords(t, strings.NewReader("")); len(recs) != 0 {
+		t.Fatalf("empty stream yielded %v", recs)
 	}
 }
 
@@ -105,9 +134,9 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestJSONLSinkRetainsFirstError(t *testing.T) {
-	sink := NewJSONLSink(&failWriter{after: 1}) // room for less than one line
+	sink := NewObservationSink(archival.NewJSONLWriter(&failWriter{after: 1})) // room for less than one row
 	for i := 0; i < 100; i++ {
-		sink.Write(fakeRecord("open", "spam", i))
+		sink.Record(fakeRecord("open", "spam", i))
 	}
 	if err := sink.Flush(); err == nil {
 		t.Fatal("sink swallowed the write error")
@@ -115,74 +144,155 @@ func TestJSONLSinkRetainsFirstError(t *testing.T) {
 }
 
 func TestReadJSONLResumeSkipsTruncatedTail(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	sink.Write(fakeRecord("dns-poison", "spam", 0))
-	sink.Write(fakeRecord("dns-poison", "spam", 1))
+	want := []RunRecord{fakeRecord("dns-poison", "spam", 0), fakeRecord("dns-poison", "spam", 1)}
+	path := writeArchiveFile(t, want...)
+	whole, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A campaign killed mid-write leaves a partial final row.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"3","run":"9","type":"verd`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// The strict reader rejects the torn row.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadRecords(bytes.NewReader(raw), archival.TailStrict, nil,
+		func(RunRecord) error { return nil }); err == nil {
+		t.Fatal("strict ReadRecords accepted a torn row")
+	}
+
+	// Resume cuts the torn row, then the final whole run, and appends
+	// after the first run.
+	sink, f, done, err := OpenArchive(path, true)
+	if err != nil {
+		t.Fatalf("resume open failed: %v", err)
+	}
+	defer f.Close()
+	if len(done) != 1 || !done[want[0].Key()] {
+		t.Fatalf("done = %v, want just %+v", done, want[0].Key())
+	}
+	sink.Record(want[1])
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// A campaign killed mid-write leaves a partial final line.
-	goodLen := int64(buf.Len())
-	buf.WriteString(`{"scenario":"dns-poi`)
-
-	var warnedLine int
-	recs, truncateAt, err := ReadJSONLResume(&buf, func(line int, err error) { warnedLine = line })
+	raw, err = os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("tolerant read failed: %v", err)
+		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2", len(recs))
+	if int64(len(raw)) != whole.Size() {
+		t.Fatalf("resumed file is %d bytes, want the uninterrupted %d", len(raw), whole.Size())
 	}
-	if warnedLine != 3 {
-		t.Fatalf("warned about line %d, want 3", warnedLine)
-	}
-	if truncateAt != goodLen {
-		t.Fatalf("truncateAt = %d, want %d (end of last good line)", truncateAt, goodLen)
-	}
-	// The strict reader still rejects the same input.
-	strict := strings.NewReader(`{"scenario":"dns-poi`)
-	if _, err := ReadJSONL(strict); err == nil {
-		t.Fatal("strict ReadJSONL accepted a truncated line")
+	if got := readRecords(t, bytes.NewReader(raw)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed records:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestReadJSONLResumeRejectsMidFileCorruption(t *testing.T) {
-	input := `{"scenario":"open","trial":0,"technique":"overt-dns","correct":true}
-not json at all
-{"scenario":"open","trial":1,"technique":"overt-dns","correct":true}
-`
-	warned := false
-	_, _, err := ReadJSONLResume(strings.NewReader(input), func(int, error) { warned = true })
-	if err == nil {
+	path := writeArchiveFile(t, fakeRecord("open", "overt-dns", 0))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(f, "not json at all")
+	f.Close()
+	tail := writeArchiveFile(t, fakeRecord("open", "overt-dns", 1))
+	more, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(more)
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, _, err := OpenArchive(path, true); err == nil {
 		t.Fatal("mid-file corruption accepted")
 	}
-	if warned {
-		t.Fatal("warn called for a hard error")
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a rejected resume modified the file")
 	}
 }
 
 func TestReadJSONLResumeCleanFile(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
 	want := []RunRecord{fakeRecord("open", "overt-dns", 0), fakeRecord("open", "overt-tcp", 0)}
-	for _, rec := range want {
-		sink.Write(rec)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, truncateAt, err := ReadJSONLResume(&buf, func(line int, err error) {
-		t.Fatalf("unexpected warning for clean file: line %d: %v", line, err)
-	})
+	path := writeArchiveFile(t, want...)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truncateAt != -1 {
-		t.Fatalf("truncateAt = %d for a clean file, want -1", truncateAt)
+	// Even a clean file loses its final run group: content cannot prove
+	// the group whole, and the re-run is byte-identical.
+	sink, f, done, err := OpenArchive(path, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", recs, want)
+	defer f.Close()
+	if len(done) != 1 || !done[want[0].Key()] {
+		t.Fatalf("done = %v, want just %+v", done, want[0].Key())
+	}
+	sink.Record(want[1])
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("cut and re-append changed the file:\n%s\nvs\n%s", before, after)
+	}
+}
+
+func TestResumeDropsTrailingErrorRuns(t *testing.T) {
+	good := fakeRecord("open", "overt-dns", 0)
+	failed := fakeRecord("open", "overt-dns", 1)
+	failed.Verdict, failed.Correct, failed.Error = "", false, "timeout"
+	last := fakeRecord("open", "overt-dns", 2)
+	path := writeArchiveFile(t, good, failed, last)
+
+	// The final run is cut as always, and the error run before it goes too:
+	// its re-run must not land next to it and read back merged with it.
+	sink, f, done, err := OpenArchive(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if len(done) != 1 || !done[good.Key()] {
+		t.Fatalf("done = %v, want just %+v", done, good.Key())
+	}
+	retried := failed
+	retried.Verdict, retried.Correct, retried.Error = "censored", true, ""
+	sink.Record(retried)
+	sink.Record(last)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RunRecord{good, retried, last}
+	if got := readRecords(t, bytes.NewReader(raw)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed records:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -198,49 +308,44 @@ func (w *syncWriter) Sync() error                 { w.syncs++; return nil }
 
 func TestJSONLSinkSyncEveryBoundsLoss(t *testing.T) {
 	w := &syncWriter{}
-	sink := NewJSONLSink(w)
+	sink := NewObservationSink(archival.NewJSONLWriter(w))
 	sink.SyncEvery(2)
 	reg := telemetry.NewRegistry()
-	sink.Instrument(reg, "records")
+	sink.Instrument(reg, "archive")
 
 	for i := 0; i < 5; i++ {
-		sink.Write(fakeRecord("open", "spam", i))
+		sink.Record(fakeRecord("open", "spam", i))
 	}
-	// Without calling Flush, 4 of the 5 records (two SyncEvery batches)
-	// must already be durable: visible in the writer AND synced.
-	recs, err := ReadJSONL(bytes.NewReader(w.buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
+	// Without calling Flush, 4 of the 5 one-row records (two SyncEvery
+	// batches) must already be durable: visible in the writer AND synced.
+	if recs := readRecords(t, bytes.NewReader(w.buf.Bytes())); len(recs) != 4 {
 		t.Fatalf("pre-Flush durable records = %d, want 4 (SyncEvery 2 after 5 writes)", len(recs))
 	}
 	if w.syncs != 2 {
 		t.Fatalf("syncs = %d, want 2", w.syncs)
 	}
-	if got := reg.Counter(telemetry.Labels("campaign_sink_sync_total", "sink", "records")).Value(); got != 2 {
+	if got := reg.Counter(telemetry.Labels("campaign_sink_sync_total", "sink", "archive")).Value(); got != 2 {
 		t.Fatalf("campaign_sink_sync_total = %d, want 2", got)
 	}
 	// Final Flush drains the straggler and syncs once more.
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = ReadJSONL(bytes.NewReader(w.buf.Bytes()))
-	if err != nil || len(recs) != 5 {
-		t.Fatalf("post-Flush records = %d (%v), want 5", len(recs), err)
+	if recs := readRecords(t, bytes.NewReader(w.buf.Bytes())); len(recs) != 5 {
+		t.Fatalf("post-Flush records = %d, want 5", len(recs))
 	}
 	if w.syncs != 3 {
 		t.Fatalf("syncs after Flush = %d, want 3", w.syncs)
 	}
-	if got := reg.Counter(telemetry.Labels("campaign_sink_flush_total", "sink", "records")).Value(); got != 3 {
+	if got := reg.Counter(telemetry.Labels("campaign_sink_flush_total", "sink", "archive")).Value(); got != 3 {
 		t.Fatalf("campaign_sink_flush_total = %d, want 3", got)
 	}
 }
 
 func TestJSONLSinkSyncEveryDisabledBuffers(t *testing.T) {
 	w := &syncWriter{}
-	sink := NewJSONLSink(w)
-	sink.Write(fakeRecord("open", "spam", 0))
+	sink := NewObservationSink(archival.NewJSONLWriter(w))
+	sink.Record(fakeRecord("open", "spam", 0))
 	if w.buf.Len() != 0 {
 		t.Fatal("record escaped the bufio layer without SyncEvery or Flush")
 	}
@@ -254,25 +359,30 @@ func TestJSONLSinkSyncEveryDisabledBuffers(t *testing.T) {
 
 func TestTraceSinkSyncEvery(t *testing.T) {
 	w := &syncWriter{}
-	sink := NewTraceSink(w)
+	sink := NewObservationSink(archival.NewJSONLWriter(w))
 	sink.SyncEvery(3)
 	events := []telemetry.Event{{T: 1, Kind: "probe"}, {T: 2, Kind: "alert"}}
-	sink.Write(RunTrace{Scenario: "open", Technique: "spam", Trial: 0, Events: events})
-	if w.buf.Len() != 0 {
-		t.Fatalf("2 event lines flushed before the 3-line threshold")
-	}
-	sink.Write(RunTrace{Scenario: "open", Technique: "spam", Trial: 1, Events: events})
-	// The run is written as one batch, so when the 3-line threshold fires the
-	// whole batch is already in the bufio layer and all 4 lines become
-	// durable — the flush can only land at or past the threshold, never short
-	// of it.
-	if lines := strings.Count(w.buf.String(), "\n"); lines != 4 || w.syncs != 1 {
-		t.Fatalf("after 4 events: %d durable lines, %d syncs; want 4 lines, 1 sync", lines, w.syncs)
+	for trial := 0; trial < 2; trial++ {
+		rec := fakeRecord("open", "spam", trial)
+		sink.Trace(RunTrace{Scenario: "open", Technique: "spam", Trial: trial, Seed: rec.Seed, Events: events})
+		if lines := strings.Count(w.buf.String(), "\n"); lines != 3*trial {
+			t.Fatalf("trial %d: trace rows reached the file before the run's record (%d lines)", trial, lines)
+		}
+		// The run's 2 trace rows and 1 record row land as one 3-row batch,
+		// which meets the threshold: the whole group becomes durable.
+		sink.Record(rec)
+		if lines := strings.Count(w.buf.String(), "\n"); lines != 3*(trial+1) || w.syncs != trial+1 {
+			t.Fatalf("trial %d: %d durable lines, %d syncs; want %d lines, %d syncs",
+				trial, lines, w.syncs, 3*(trial+1), trial+1)
+		}
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.Count() != 4 {
-		t.Fatalf("count = %d, want 4", sink.Count())
+	if sink.Count() != 6 {
+		t.Fatalf("count = %d, want 6", sink.Count())
+	}
+	if recs := readRecords(t, bytes.NewReader(w.buf.Bytes())); len(recs) != 2 {
+		t.Fatalf("read %d records, want 2", len(recs))
 	}
 }

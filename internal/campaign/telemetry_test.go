@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/core"
 	"safemeasure/internal/telemetry"
 )
@@ -14,16 +15,17 @@ func recordFor(tech string) core.Record { return core.Record{Technique: tech} }
 
 // runInstrumented executes the plan with full telemetry at the given worker
 // count and returns the scheduling-independent canonical forms: the final
-// counter exposition and the sorted trace lines.
+// counter exposition and the sorted trace rows of the JSONL archive.
 func runInstrumented(t *testing.T, seed int64, workers int) (counters, trace string) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	ts := NewTraceSink(&buf)
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
 	recs, err := Run(smallPlan(t, seed), Options{
-		Workers: workers,
-		Metrics: reg,
-		OnTrace: ts.Write,
+		Workers:  workers,
+		Metrics:  reg,
+		OnTrace:  sink.Trace,
+		OnRecord: sink.Record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,12 +35,17 @@ func runInstrumented(t *testing.T, seed int64, workers int) (counters, trace str
 			t.Fatalf("%s/%s trial %d failed: %s", rec.Technique, rec.Scenario, rec.Trial, rec.Error)
 		}
 	}
-	if err := ts.Flush(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	sort.Strings(lines)
-	return reg.Snapshot().CountersText(), strings.Join(lines, "\n")
+	var rows []string
+	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
+		if strings.Contains(line, `"type":"trace"`) {
+			rows = append(rows, line)
+		}
+	}
+	sort.Strings(rows)
+	return reg.Snapshot().CountersText(), strings.Join(rows, "\n")
 }
 
 func TestTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -60,7 +67,7 @@ func TestTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	// Spot-check that the stream actually exercised the instrumented paths.
 	for _, kind := range []string{telemetry.EvProbeSent, telemetry.EvCensorAlert, telemetry.EvMVRDiscard} {
-		if !strings.Contains(t1, `"kind":"`+kind+`"`) {
+		if !strings.Contains(t1, `"name":"`+kind+`"`) {
 			t.Errorf("trace stream has no %q events", kind)
 		}
 	}
@@ -143,22 +150,29 @@ func TestProgressTracksCells(t *testing.T) {
 
 func TestTraceSinkWritesSortableLines(t *testing.T) {
 	var buf bytes.Buffer
-	ts := NewTraceSink(&buf)
-	ts.Write(RunTrace{Scenario: "open", Technique: "overt-dns", Trial: 1, Events: []telemetry.Event{
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
+	rec := fakeRecord("open", "overt-dns", 1)
+	sink.Trace(RunTrace{Scenario: "open", Technique: "overt-dns", Trial: 1, Seed: rec.Seed, Events: []telemetry.Event{
 		{T: 100, Kind: telemetry.EvProbeSent, Src: "10.1.0.10", Dst: "203.0.113.53"},
 		{T: 250, Kind: telemetry.EvTTLExpiry, Detail: "edge"},
 	}})
-	if err := ts.Flush(); err != nil {
+	sink.Record(rec)
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ts.Count() != 2 {
-		t.Fatalf("count = %d, want 2", ts.Count())
+	if sink.Count() != 3 {
+		t.Fatalf("count = %d, want 3 (two trace rows, one verdict row)", sink.Count())
 	}
-	out := buf.String()
-	if !strings.Contains(out, `"seq":0`) || !strings.Contains(out, `"seq":1`) {
-		t.Fatalf("lines lack sequence numbers:\n%s", out)
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	for i, want := range []string{`"type":"trace"`, `"type":"trace"`, `"type":"verdict"`} {
+		if !strings.Contains(lines[i], want) {
+			t.Fatalf("row %d is not %s; a run's trace rows lead its group:\n%s", i, want, buf.String())
+		}
 	}
-	if !strings.Contains(out, `"scenario":"open"`) || !strings.Contains(out, `"technique":"overt-dns"`) {
-		t.Fatalf("lines lack run coordinates:\n%s", out)
+	if !strings.Contains(lines[1], `"seq":1`) || !strings.Contains(lines[1], `"name":"`+telemetry.EvTTLExpiry+`"`) {
+		t.Fatalf("trace rows lack sequence numbers or kinds:\n%s", buf.String())
+	}
+	if !strings.Contains(lines[0], `"scenario":"open"`) || !strings.Contains(lines[0], `"technique":"overt-dns"`) {
+		t.Fatalf("trace rows lack run coordinates:\n%s", buf.String())
 	}
 }

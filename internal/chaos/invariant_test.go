@@ -1,17 +1,20 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/campaign"
 )
 
@@ -78,35 +81,78 @@ func canonicalize(t *testing.T, recs []campaign.RunRecord) (jsonl, agg string) {
 	return strings.Join(lines, "\n"), campaign.Aggregate(ok).Render()
 }
 
+// archivePath names a fresh campaign archive in a test-owned directory; the
+// extension picks the encoding, as with cmd/campaign -out.
+func archivePath(t *testing.T, ext string) string {
+	return filepath.Join(t.TempDir(), "campaign"+ext)
+}
+
+// runToArchive runs plan (with ctx and opts) into a fresh archive at path,
+// the way cmd/campaign -out does, and returns RunContext's result.
+func runToArchive(ctx context.Context, t *testing.T, path string, plan *campaign.Plan,
+	opts campaign.Options) ([]campaign.RunRecord, error) {
+	t.Helper()
+	sink, f, _, err := campaign.OpenArchive(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	onRecord := opts.OnRecord
+	opts.OnRecord = func(rec campaign.RunRecord) {
+		if onRecord != nil {
+			onRecord(rec)
+		}
+		sink.Record(rec)
+	}
+	recs, runErr := campaign.RunContext(ctx, plan, opts)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return recs, runErr
+}
+
+// readArchive reads every record of a campaign archive strictly.
+func readArchive(t *testing.T, path string) []campaign.RunRecord {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []campaign.RunRecord
+	if err := campaign.ReadRecords(f, archival.TailStrict, nil, func(rec campaign.RunRecord) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatalf("archive unreadable: %v", err)
+	}
+	return recs
+}
+
 // resumeAndCheck finishes an interrupted campaign the way cmd/campaign
-// -resume does — tolerant read, torn-tail truncation, Remaining plan,
-// append — then asserts the three invariants: nothing lost, nothing
-// duplicated, and the final records and aggregate byte-identical to the
-// uninterrupted baseline.
-func resumeAndCheck(t *testing.T, plan *campaign.Plan, workers int, buf *bytes.Buffer,
+// -resume does — campaign.OpenArchive repairs the torn row, cuts the final
+// run group, and hands back the done set; the Remaining plan appends —
+// then asserts the three invariants: nothing lost, nothing duplicated, and
+// the final records and aggregate byte-identical to the uninterrupted
+// baseline.
+func resumeAndCheck(t *testing.T, plan *campaign.Plan, workers int, path string,
 	wantJSONL, wantAgg string) {
 	t.Helper()
-	recs, truncateAt, err := campaign.ReadJSONLResume(bytes.NewReader(buf.Bytes()), nil)
+	sink, f, done, err := campaign.OpenArchive(path, true)
 	if err != nil {
-		t.Fatalf("tolerant resume read: %v", err)
+		t.Fatalf("resume open: %v", err)
 	}
-	if truncateAt >= 0 {
-		buf.Truncate(int(truncateAt))
-	}
-	rest := plan.Remaining(campaign.DoneSet(recs))
+	rest := plan.Remaining(done)
 	if len(rest.Specs) > 0 {
-		sink := campaign.NewJSONLSink(buf)
-		if _, err := campaign.Run(rest, campaign.Options{Workers: workers, OnRecord: sink.Write}); err != nil {
+		if _, err := campaign.Run(rest, campaign.Options{Workers: workers, OnRecord: sink.Record}); err != nil {
 			t.Fatalf("resume run: %v", err)
 		}
-		if err := sink.Flush(); err != nil {
-			t.Fatalf("resume sink: %v", err)
-		}
 	}
-	final, err := campaign.ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("final file unreadable: %v", err)
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("resume sink: %v", err)
 	}
+	f.Close()
+	final := readArchive(t, path)
 	gotJSONL, gotAgg := canonicalize(t, final)
 	if done := campaign.DoneSet(final); len(done) != len(plan.Specs) {
 		t.Fatalf("lost runs: %d of %d coordinates completed", len(done), len(plan.Specs))
@@ -119,6 +165,35 @@ func resumeAndCheck(t *testing.T, plan *campaign.Plan, workers int, buf *bytes.B
 		t.Fatalf("resumed aggregate diverges from uninterrupted run:\n--- got ---\n%s\n--- want ---\n%s",
 			gotAgg, wantAgg)
 	}
+}
+
+// keepsPartialRun reports whether frame-level repair alone would let a
+// wrong record through: the repaired wreck at path (left unmodified) holds
+// a record differing from the baseline record of the same coordinates.
+func keepsPartialRun(t *testing.T, path string, base []campaign.RunRecord) bool {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := path + ".repaired"
+	if err := os.WriteFile(scratch, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(scratch)
+	if _, err := archival.Repair(scratch); err != nil {
+		t.Fatal(err)
+	}
+	want := map[campaign.DoneKey]campaign.RunRecord{}
+	for _, r := range base {
+		want[r.Key()] = r
+	}
+	for _, r := range readArchive(t, scratch) {
+		if !reflect.DeepEqual(r, want[r.Key()]) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestInterruptResumeInvariant interrupts a campaign at ≥20 seeded points —
@@ -134,17 +209,30 @@ func TestInterruptResumeInvariant(t *testing.T) {
 	// The baseline is computed once at workers=1; every (mode, workers,
 	// seed) cell must reproduce it, which also re-proves worker-count
 	// determinism along the way.
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	basePath := archivePath(t, ".jsonl")
+	baseRecs, err := runToArchive(context.Background(), t, basePath, plan, campaign.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := baseSink.Flush(); err != nil {
+	wantJSONL, wantAgg := canonicalize(t, baseRecs)
+	baseInfo, err := os.Stat(basePath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSONL, wantAgg := canonicalize(t, baseRecs)
-	fileSize := int64(base.Len())
+	archiveSize := baseInfo.Size()
+	// The sinkfail points are drawn over the baseline's records rendered as
+	// JSON lines and scaled onto the archive, so each seeded point sits at
+	// the same fraction of the campaign's output whatever the encoding.
+	var recordBytes int64
+	for _, r := range baseRecs {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordBytes += int64(len(raw)) + 1
+	}
+	partialShorts := 0
+	const ext = ".jsonl"
 
 	points := 0
 	for _, workers := range []int{1, 8} {
@@ -157,26 +245,18 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			cut := 1 + rng.Intn(nspecs)
 			points++
 			t.Run(fmt.Sprintf("cancel/workers=%d/cut=%d", workers, cut), func(t *testing.T) {
-				var buf bytes.Buffer
+				path := archivePath(t, ext)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				sink := campaign.NewJSONLSink(&buf)
-				hook := CancelAfter(cut, cancel)
-				_, err := campaign.RunContext(ctx, plan, campaign.Options{
-					Workers: workers,
-					Grace:   -1,
-					OnRecord: func(rec campaign.RunRecord) {
-						hook(rec)
-						sink.Write(rec)
-					},
+				_, err := runToArchive(ctx, t, path, plan, campaign.Options{
+					Workers:  workers,
+					Grace:    -1,
+					OnRecord: CancelAfter(cut, cancel),
 				})
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Fatal(err)
 				}
-				if err := sink.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 
@@ -185,24 +265,32 @@ func TestInterruptResumeInvariant(t *testing.T) {
 		// file loses its tail; resume must regenerate exactly the lost runs.
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(2000 + seed))
-			failAfter := rng.Int63n(fileSize)
+			failAfter := rng.Int63n(recordBytes)
 			short := seed%2 == 1
 			points++
 			t.Run(fmt.Sprintf("sinkfail/workers=%d/at=%d/short=%v", workers, failAfter, short),
 				func(t *testing.T) {
-					var buf bytes.Buffer
-					fw := &FlakyWriter{W: &buf, FailAfter: failAfter, Short: short}
-					sink := campaign.NewJSONLSink(fw)
-					sink.SyncEvery(1) // every record hits the flaky stream immediately
+					path := archivePath(t, ".jsonl")
+					f, err := os.Create(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fw := &FlakyWriter{W: f, FailAfter: failAfter * archiveSize / recordBytes, Short: short}
+					sink := campaign.NewObservationSink(archival.NewJSONLWriter(fw))
+					sink.SyncEvery(1) // every run's group hits the flaky stream immediately
 					if _, err := campaign.Run(plan, campaign.Options{
-						Workers: workers, OnRecord: sink.Write,
+						Workers: workers, OnRecord: sink.Record,
 					}); err != nil {
 						t.Fatal(err)
 					}
 					if err := sink.Flush(); err == nil && fw.Failed() {
 						t.Fatal("sink swallowed the injected failure")
 					}
-					resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+					f.Close()
+					if short && keepsPartialRun(t, path, baseRecs) {
+						partialShorts++
+					}
+					resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 				})
 		}
 
@@ -213,18 +301,14 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			every := 1 + rng.Intn(4)
 			points++
 			t.Run(fmt.Sprintf("panic/workers=%d/every=%d", workers, every), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
-				if _, err := campaign.Run(plan, campaign.Options{
-					Workers: workers, OnRecord: sink.Write,
+				path := archivePath(t, ".jsonl")
+				if _, err := runToArchive(context.Background(), t, path, plan, campaign.Options{
+					Workers: workers,
 					Execute: PanicEvery(every, nil),
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := sink.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 
@@ -236,24 +320,23 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			every := 2 + rng.Intn(3)
 			points++
 			t.Run(fmt.Sprintf("hang/workers=%d/every=%d", workers, every), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
-				if _, err := campaign.Run(plan, campaign.Options{
-					Workers: workers, OnRecord: sink.Write,
+				path := archivePath(t, ".jsonl")
+				if _, err := runToArchive(context.Background(), t, path, plan, campaign.Options{
+					Workers: workers,
 					Timeout: 30 * time.Millisecond,
 					Execute: HangEvery(every, 200*time.Millisecond, nil),
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := sink.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 	}
 	if points < 20 {
 		t.Fatalf("only %d seeded interrupt points exercised, want >= 20", points)
+	}
+	if partialShorts == 0 {
+		t.Fatal("no short write left a partial run group; the sinkfail mode lost its teeth")
 	}
 }
 
@@ -278,43 +361,31 @@ func TestInterruptResumeInvariantAdversarialCensor(t *testing.T) {
 		t.Fatalf("behavior sweep too small: %d specs", nspecs)
 	}
 
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := baseSink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantJSONL, wantAgg := canonicalize(t, baseRecs)
 
+	const ext = ".bin" // the binary encoding resumes through the same path
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(7000 + seed))
 			cut := 1 + rng.Intn(nspecs)
 			t.Run(fmt.Sprintf("cancel/workers=%d/cut=%d", workers, cut), func(t *testing.T) {
-				var buf bytes.Buffer
+				path := archivePath(t, ext)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				sink := campaign.NewJSONLSink(&buf)
-				hook := CancelAfter(cut, cancel)
-				_, err := campaign.RunContext(ctx, plan, campaign.Options{
-					Workers: workers,
-					Grace:   -1,
-					OnRecord: func(rec campaign.RunRecord) {
-						hook(rec)
-						sink.Write(rec)
-					},
+				_, err := runToArchive(ctx, t, path, plan, campaign.Options{
+					Workers:  workers,
+					Grace:    -1,
+					OnRecord: CancelAfter(cut, cancel),
 				})
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Fatal(err)
 				}
-				if err := sink.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 	}

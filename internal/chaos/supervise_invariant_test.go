@@ -1,7 +1,7 @@
 package chaos
 
 import (
-	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -34,13 +34,8 @@ func supervisedPlan(t *testing.T) *campaign.Plan {
 func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 	plan := supervisedPlan(t)
 
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := baseSink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantJSONL, wantAgg := canonicalize(t, baseRecs)
@@ -60,22 +55,17 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 		for _, mode := range modes {
 			workers, mode := workers, mode
 			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
-				recs, err := campaign.Run(plan, campaign.Options{
+				path := archivePath(t, ".bin")
+				recs, err := runToArchive(context.Background(), t, path, plan, campaign.Options{
 					Workers:  workers,
 					Timeout:  mode.timeout,
 					Grace:    -1, // drain fully: every dispatched run must settle
 					Breakers: campaign.NewBreakerSet(campaign.BreakerConfig{Consecutive: 2, Cooldown: 2}),
 					Budget:   &campaign.FailureBudget{Fraction: 0.25, MinRuns: 4},
-					OnRecord: sink.Write,
 					Execute:  mode.exec(),
 				})
 				if !errors.Is(err, campaign.ErrBudgetExceeded) {
 					t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-				}
-				if err := sink.Flush(); err != nil {
-					t.Fatal(err)
 				}
 				// Every partial record keeps its coordinates, and skips are
 				// exactly the breaker's explicit shed markers.
@@ -98,7 +88,7 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 				}
 				// The fault clears (resume uses the default executor); the
 				// wreck must converge to the unfaulted baseline.
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 	}
@@ -120,20 +110,15 @@ func TestHedgedFaultyCampaignResumeInvariant(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var buf bytes.Buffer
-			sink := campaign.NewJSONLSink(&buf)
-			if _, err := campaign.Run(plan, campaign.Options{
-				Workers:  workers,
-				Hedge:    campaign.HedgeConfig{Delay: time.Millisecond},
-				OnRecord: sink.Write,
-				Execute:  PanicEvery(3, nil),
+			path := archivePath(t, ".jsonl")
+			if _, err := runToArchive(context.Background(), t, path, plan, campaign.Options{
+				Workers: workers,
+				Hedge:   campaign.HedgeConfig{Delay: time.Millisecond},
+				Execute: PanicEvery(3, nil),
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+			resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 // Record is the machine-readable form of one completed measurement: the
 // Result, the RiskReport, and run metadata, flattened into a stable JSON
 // shape. cmd/safemeasure -json emits one Record; the campaign subsystem
-// streams one per run to its JSONL sink, so ad-hoc runs and campaign
-// post-processing share a record format.
+// archives one per run as flat observation rows that rebuild into it, so
+// ad-hoc runs and campaign post-processing share a record format.
 //
 // ElapsedMS is *virtual* milliseconds — how much simulated time the run
 // consumed — so records are byte-identical across repeated runs of the same

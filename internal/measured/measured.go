@@ -485,6 +485,21 @@ wait:
 	if err := s.pool.Shutdown(ctx); err != nil {
 		return err
 	}
+	// A flight leaves s.inflight before its archive write, so also wait for
+	// every dispatched flight to finish completing (each holds a sem slot
+	// until then): once Shutdown returns, closing the store loses nothing.
+	for i := 0; i < cap(s.sem); i++ {
+		select {
+		case s.sem <- struct{}{}:
+			continue
+		default:
+		}
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return fmt.Errorf("measured: drain incomplete: %w", ctx.Err())
+		}
+	}
 	if drainErr != nil {
 		return fmt.Errorf("measured: drain incomplete: %w", drainErr)
 	}

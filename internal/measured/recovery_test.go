@@ -3,7 +3,6 @@ package measured
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -103,37 +102,13 @@ func archivedRecords(t *testing.T, path string) []campaign.RunRecord {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rd, err := archival.NewReader(f, archival.TailTolerate, nil)
-	if err != nil {
-		t.Fatalf("archive reader: %v", err)
-	}
 	var recs []campaign.RunRecord
-	var group []archival.Observation
-	flush := func() {
-		if len(group) == 0 {
-			return
-		}
-		rec, err := campaign.UnflattenRecord(group)
-		if err != nil {
-			t.Fatalf("unflatten: %v", err)
-		}
+	if err := campaign.ReadRecords(f, archival.TailTolerate, nil, func(rec campaign.RunRecord) error {
 		recs = append(recs, rec)
-		group = group[:0]
+		return nil
+	}); err != nil {
+		t.Fatalf("archive read: %v", err)
 	}
-	for {
-		o, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("archive read: %v", err)
-		}
-		if len(group) > 0 && o.Run != group[0].Run {
-			flush()
-		}
-		group = append(group, o)
-	}
-	flush()
 	return recs
 }
 

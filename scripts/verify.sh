@@ -123,13 +123,26 @@ if [ "${VERIFY_SCALING:-1}" = "1" ]; then
   rm -f "$scaleraw"
 fi
 
-# Interrupt-then-resume smoke test: a real SIGINT against the built binary
-# must exit 130 with a valid partial file, and -resume must finish the
-# campaign to exactly the planned record count. This exercises the signal
-# handler and CLI resume path that the in-process chaos tests cannot.
+# Interrupt-then-resume smoke tests: a real SIGINT against the built binary
+# must exit 130 with a valid partial archive, and -resume must finish the
+# campaign to exactly the uninterrupted run's rows: 1500 verdict rows (one
+# per run), no run's verdict row twice, and a sorted archive byte-identical
+# to an uninterrupted campaign's. A kill -9 at -sync-every 1 then leaves
+# the wreck a crash leaves — possibly a run group cut short — which resume
+# must cut off and re-run. These exercise the signal handler and the CLI
+# resume path that the in-process chaos tests cannot.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/campaign" ./cmd/campaign
+"$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 \
+  -out "$tmp/smoke.base.jsonl" > /dev/null
+LC_ALL=C sort "$tmp/smoke.base.jsonl" > "$tmp/smoke.base.sorted"
+check_resumed() {
+  test "$(grep -c '"type":"verdict"' "$1")" -eq 1500
+  dups=$(grep '"type":"verdict"' "$1" | grep -o '"run":"[0-9]*"' | LC_ALL=C sort | uniq -d)
+  test -z "$dups"
+  LC_ALL=C sort "$1" | cmp - "$tmp/smoke.base.sorted"
+}
 "$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 \
   -out "$tmp/smoke.jsonl" -sync-every 1 &
 pid=$!
@@ -141,12 +154,23 @@ test "$rc" -eq 130
 test -s "$tmp/smoke.jsonl"
 "$tmp/campaign" -resume -scenarios dns-poison -trials 500 -workers 2 \
   -out "$tmp/smoke.jsonl"
-# 1 scenario x 3 techniques x 500 trials = 1500 records, every line valid JSON
-test "$(wc -l < "$tmp/smoke.jsonl")" -eq 1500
+check_resumed "$tmp/smoke.jsonl"
+
+"$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 \
+  -out "$tmp/kill.jsonl" -sync-every 1 > /dev/null &
+pid=$!
+sleep 1
+kill -9 "$pid"
+wait "$pid" || true
+test -s "$tmp/kill.jsonl"
+"$tmp/campaign" -resume -scenarios dns-poison -trials 500 -workers 2 \
+  -out "$tmp/kill.jsonl" > /dev/null
+check_resumed "$tmp/kill.jsonl"
 
 # Censor-behavior determinism smoke: a campaign sweeping every adversarial
-# behavior preset must produce byte-identical sorted records at workers 1
-# and 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
+# behavior preset must produce byte-identical sorted observation rows at
+# workers 1 and 8 — the end-to-end form of the behavior-state-is-seed-derived
+# claim.
 "$tmp/campaign" -scenarios keyword-rst -censor-behavior all -trials 2 \
   -workers 1 -seed 5 -out "$tmp/bhv.w1.jsonl" > /dev/null
 "$tmp/campaign" -scenarios keyword-rst -censor-behavior all -trials 2 \
@@ -157,9 +181,9 @@ cmp "$tmp/bhv.w1.sorted" "$tmp/bhv.w8.sorted"
 grep -q '"behavior":"throttle"' "$tmp/bhv.w1.jsonl"
 
 # Analysis-pipeline smoke: a second seeded campaign gives compare two real
-# 1500-run inputs; its per-cell Wilson-CI delta table must be deterministic
-# (two invocations, byte-identical output), and convert must round-trip
-# observations JSONL -> binary -> JSONL byte-identically.
+# 1500-run observation archives; its per-cell Wilson-CI delta table must be
+# deterministic (two invocations, byte-identical output), and convert must
+# round-trip a campaign's JSONL archive -> binary -> JSONL byte-identically.
 go build -o "$tmp/measanalyze" ./cmd/measanalyze
 "$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 -seed 2 \
   -out "$tmp/smoke2.jsonl" > /dev/null
@@ -167,13 +191,12 @@ go build -o "$tmp/measanalyze" ./cmd/measanalyze
 "$tmp/measanalyze" compare "$tmp/smoke.jsonl" "$tmp/smoke2.jsonl" > "$tmp/cmp2.txt"
 diff "$tmp/cmp1.txt" "$tmp/cmp2.txt"
 grep -q "verdict" "$tmp/cmp1.txt"
-"$tmp/measanalyze" convert -o "$tmp/smoke.obs.jsonl" "$tmp/smoke.jsonl"
-"$tmp/measanalyze" convert -o "$tmp/smoke.obs.bin" "$tmp/smoke.obs.jsonl"
+"$tmp/measanalyze" convert -o "$tmp/smoke.obs.bin" "$tmp/smoke.jsonl"
 "$tmp/measanalyze" convert -o "$tmp/smoke.obs2.jsonl" "$tmp/smoke.obs.bin"
-cmp "$tmp/smoke.obs.jsonl" "$tmp/smoke.obs2.jsonl"
-ls -l "$tmp/smoke.obs.jsonl" "$tmp/smoke.obs.bin"
-# Torn-tail tolerance: summarize must stream a live-append-shaped file
-# (valid prefix + half a record) without erroring.
+cmp "$tmp/smoke.jsonl" "$tmp/smoke.obs2.jsonl"
+ls -l "$tmp/smoke.jsonl" "$tmp/smoke.obs.bin"
+# Torn-tail tolerance: summarize must stream a live-append-shaped archive
+# (valid prefix + half a row) without erroring.
 head -c "$(( $(wc -c < "$tmp/smoke.jsonl") - 40 ))" "$tmp/smoke.jsonl" > "$tmp/torn.jsonl"
 "$tmp/measanalyze" summarize "$tmp/torn.jsonl" > /dev/null
 # Behavior guard rails: summarize shows per-behavior marginals on a swept
