@@ -1,7 +1,8 @@
 package campaign
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -256,12 +257,12 @@ func seqSlice(m map[int]string) []string {
 }
 
 // ReadRecords streams the run records of an observation archive, in either
-// encoding, into fn in file order. Rows regroup by contiguous run ID (an
-// ObservationSink writes each run as one contiguous group) and each group
-// unflattens into one record. Groups holding only trace or packet rows are
-// skipped: archives written before a run's trace and record rows shared
-// one batch carry them. tail and warn are archival.NewReader's; a non-nil
-// error from fn stops the scan and is returned verbatim.
+// encoding, into fn in file order. Rows regroup into run groups
+// (forEachGroup) and each group unflattens into one record. Groups holding
+// only trace or packet rows are skipped: archives written before a run's
+// trace and record rows shared one batch carry them. tail and warn are
+// archival.NewReader's; a non-nil error from fn stops the scan and is
+// returned verbatim.
 func ReadRecords(r io.Reader, tail archival.TailPolicy, warn func(line int, err error), fn func(RunRecord) error) error {
 	rd, err := archival.NewReader(r, tail, warn)
 	if err != nil {
@@ -285,8 +286,46 @@ func isRecordRow(o archival.Observation) bool {
 	return o.Type != archival.TypeTrace && o.Type != archival.TypePacket
 }
 
+// rowRank is a row type's place in a run group: an ObservationSink batch
+// puts a run's trace rows ahead of its record rows, and FlattenRecord emits
+// record rows in this fixed type order. Unknown types rank 0.
+var rowRank = map[string]int{
+	archival.TypeTrace:       1,
+	archival.TypePacket:      2,
+	archival.TypeVerdict:     3,
+	archival.TypeTruth:       4,
+	archival.TypeStealth:     5,
+	archival.TypeAttempt:     6,
+	archival.TypeProbe:       7,
+	archival.TypeCover:       8,
+	archival.TypeCoverAddr:   9,
+	archival.TypeEvidence:    10,
+	archival.TypeRisk:        11,
+	archival.TypeAttribution: 12,
+	archival.TypeError:       13,
+}
+
+// continuesGroup reports whether row o extends the group whose latest row
+// is prev: same run, and a strictly later (rank, Seq) position. A run
+// written twice in a row — an error record and then its re-run — starts
+// over at a lower rank, so it reads back as two groups, not one merged
+// record.
+func continuesGroup(prev, o *archival.Observation) bool {
+	if o.Run != prev.Run {
+		return false
+	}
+	rp, ro := rowRank[prev.Type], rowRank[o.Type]
+	return ro > rp || ro == rp && o.Seq > prev.Seq
+}
+
+// errNotObservations rejects rows without a run ID or type — what the
+// per-line record JSONL of earlier campaign versions decodes to.
+var errNotObservations = errors.New("row has no run ID or type: not an observation archive " +
+	"(record JSONL from an earlier campaign version? migrate it with measanalyze convert first)")
+
 // forEachGroup streams rd's rows to fn one run group at a time: a maximal
-// run of consecutive rows sharing a run ID. fn must not keep the slice.
+// run of consecutive rows that each continue the group (continuesGroup).
+// The slice fn gets stays valid until fn's next call.
 func forEachGroup(rd *archival.Reader, fn func([]archival.Observation) error) error {
 	var group []archival.Observation
 	for {
@@ -297,7 +336,10 @@ func forEachGroup(rd *archival.Reader, fn func([]archival.Observation) error) er
 		if err != nil {
 			return err
 		}
-		if len(group) > 0 && o.Run != group[0].Run {
+		if o.Run == 0 || o.Type == "" {
+			return errNotObservations
+		}
+		if n := len(group); n > 0 && !continuesGroup(&group[n-1], &o) {
 			if err := fn(group); err != nil {
 				return err
 			}
@@ -311,67 +353,60 @@ func forEachGroup(rd *archival.Reader, fn func([]archival.Observation) error) er
 	return fn(group)
 }
 
-// CutRunTail truncates trailing run groups off the observation archive at
-// path, reporting how many it cut. cut judges each group, final marking the
-// file's last one: the cut takes the final group if cut accepts it, together
-// with the unbroken run of groups directly before it that cut accepts (with
-// final false). Each run's rows go down as one contiguous batch, but a
-// writer killed mid-batch leaves the batch short, and a row prefix
-// unflattens to a plausible record, so content cannot tell a whole final
-// group from a partial one; only the final group can be partial. The file
-// must end on a row boundary (archival.Repair first); a torn row is an
-// error here. A missing file is left alone.
-func CutRunTail(path string, cut func(group []archival.Observation, final bool) bool) (int, error) {
+// CutRunTail truncates the final run group off the observation archive at
+// path when cut accepts it, reporting whether it did. Each run's rows go
+// down as one contiguous batch, but a writer killed mid-batch leaves the
+// batch short, and a row prefix unflattens to a plausible record, so
+// content cannot tell a whole final group from a partial one; only the
+// final group can be partial. The file must end on a row boundary
+// (archival.Repair first); a torn row is an error here. The group is
+// re-encoded to find where it starts, and a file whose trailing bytes are
+// not that re-encoding (rows not written by an ObservationSink) is refused
+// untouched. A missing file is left alone.
+func CutRunTail(path string, cut func(final []archival.Observation) bool) (bool, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, nil
+		return false, nil
 	}
 	if err != nil {
-		return 0, err
+		return false, err
 	}
 	defer f.Close()
 	rd, err := archival.NewReader(f, archival.TailStrict, nil)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	// tail holds the accepted groups before the latest one, then the latest.
-	var tail [][]archival.Observation
+	var final []archival.Observation
 	if err := forEachGroup(rd, func(group []archival.Observation) error {
-		if n := len(tail); n > 0 && !cut(tail[n-1], false) {
-			tail = tail[:0]
-		}
-		tail = append(tail, append([]archival.Observation(nil), group...))
+		final = group
 		return nil
 	}); err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
+		return false, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(tail) == 0 || !cut(tail[len(tail)-1], true) {
-		return 0, nil
+	if len(final) == 0 || !cut(final) {
+		return false, nil
+	}
+	var enc bytes.Buffer
+	var w archival.Writer = archival.NewJSONLWriter(&enc)
+	if rd.Format() == archival.FormatBinary {
+		w = archival.NewBinaryAppender(&enc)
+	}
+	w.WriteObservations(final)
+	if err := w.Flush(); err != nil {
+		return false, err
 	}
 	info, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	// Re-encode the groups to learn their byte length; both encoders are
-	// deterministic, so the re-encoding matches what the writers wrote.
-	var tailLen int64
-	var scratch []byte
-	for _, group := range tail {
-		for i := range group {
-			if rd.Format() == archival.FormatBinary {
-				scratch = archival.AppendObservation(scratch[:0], &group[i])
-				tailLen += int64(len(scratch))
-				continue
-			}
-			b, err := json.Marshal(&group[i])
-			if err != nil {
-				return 0, err
-			}
-			tailLen += int64(len(b)) + 1
-		}
+	start := info.Size() - int64(enc.Len())
+	tail := make([]byte, enc.Len())
+	if start >= 0 {
+		_, err = f.ReadAt(tail, start)
 	}
-	if tailLen > info.Size() {
-		return 0, fmt.Errorf("%s: trailing run groups re-encode to %d bytes, file has %d", path, tailLen, info.Size())
+	if start < 0 || err != nil || !bytes.Equal(tail, enc.Bytes()) {
+		return false, fmt.Errorf("%s: the final run group does not re-encode to the file's trailing bytes "+
+			"(not written by this campaign version? migrate it with measanalyze convert first)", path)
 	}
-	return len(tail), os.Truncate(path, info.Size()-tailLen)
+	return true, os.Truncate(path, start)
 }

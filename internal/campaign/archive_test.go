@@ -197,8 +197,8 @@ func TestFlattenTraceJoinsRecordRun(t *testing.T) {
 // TestCutRunTailLeavesOnlyWholeRuns is the resume rule's regression test.
 // A multi-run archive, in each encoding, is cut at every byte offset inside
 // its last two run groups — every wreck a kill can leave. Repair plus
-// CutRunTail of the final group must leave the file on a run-group boundary with every
-// record reading back equal to an original. Frame-level Repair alone must
+// CutRunTail must leave the file on a run-group boundary with every record
+// reading back equal to an original. Frame-level Repair alone must
 // not pass: somewhere a cut row prefix reads back as a wrong record.
 func TestCutRunTailLeavesOnlyWholeRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -248,7 +248,7 @@ func TestCutRunTailLeavesOnlyWholeRuns(t *testing.T) {
 						t.Fatalf("off %d: repair: %v", off, err)
 					}
 					if cut {
-						if _, err := CutRunTail(path, func(_ []archival.Observation, final bool) bool { return final }); err != nil {
+						if _, err := CutRunTail(path, func([]archival.Observation) bool { return true }); err != nil {
 							t.Fatalf("off %d: cut: %v", off, err)
 						}
 					}
@@ -281,5 +281,59 @@ func TestCutRunTailLeavesOnlyWholeRuns(t *testing.T) {
 				t.Fatal("frame-level repair alone never kept a partial run; the test lost its teeth")
 			}
 		})
+	}
+}
+
+// TestReadRecordsSplitsRepeatedRun: a run written twice in a row (an error
+// record and then its re-run, or the same record again) must read back as
+// two records, not one merged record, traced or not.
+func TestReadRecordsSplitsRepeatedRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	full := randRunRecord(rng)
+	full.CoverAddresses = []string{"10.0.0.1", "10.0.0.2"}
+	full.Evidence = []string{"rst", "ttl"}
+	full.Error = ""
+	failed := RunRecord{Scenario: full.Scenario, Impairment: full.Impairment, Behavior: full.Behavior,
+		Trial: full.Trial, Error: "timeout"}
+	failed.Technique, failed.Seed = full.Technique, full.Seed
+	rt := RunTrace{Scenario: full.Scenario, Impairment: full.Impairment, Behavior: full.Behavior,
+		Technique: full.Technique, Trial: full.Trial, Seed: full.Seed,
+		Events: []telemetry.Event{{T: 1, Kind: "probe-sent"}, {T: 2, Kind: "reply"}}}
+	for _, tc := range []struct {
+		name   string
+		recs   []RunRecord
+		traced bool
+	}{
+		{"same record twice", []RunRecord{full, full}, false},
+		{"same record twice, traced", []RunRecord{full, full}, true},
+		{"error then re-run", []RunRecord{failed, full}, false},
+		{"error then re-run, traced", []RunRecord{failed, full}, true},
+		{"error twice", []RunRecord{failed, failed}, false},
+	} {
+		for _, format := range []archival.Format{archival.FormatJSONL, archival.FormatBinary} {
+			t.Run(tc.name+"/"+format.String(), func(t *testing.T) {
+				var buf bytes.Buffer
+				sink := NewObservationSink(archival.NewWriter(&buf, format))
+				for _, rec := range tc.recs {
+					if tc.traced {
+						sink.Trace(rt)
+					}
+					sink.Record(rec)
+				}
+				if err := sink.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				var got []RunRecord
+				if err := ReadRecords(&buf, archival.TailStrict, nil, func(rec RunRecord) error {
+					got = append(got, rec)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, tc.recs) {
+					t.Fatalf("read back:\n got %+v\nwant %+v", got, tc.recs)
+				}
+			})
+		}
 	}
 }

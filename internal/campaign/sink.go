@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +12,9 @@ import (
 // ObservationSink adapts an archival writer to the campaign callbacks: each
 // completed run is flattened into observation rows and written as one
 // contiguous batch — its trace rows (when tracing is on) followed by its
-// record rows — so every run is exactly one group in the file. That is the
-// property ReadRecords regroups by and CutRunTail relies on. Record and
-// Trace are safe to call from multiple workers (the underlying archival.Sink
-// serializes batches).
+// record rows — so every run is exactly one group in the file, the property
+// CutRunTail relies on. Record and Trace are safe to call from multiple
+// workers (the underlying archival.Sink serializes batches).
 type ObservationSink struct {
 	w archival.Writer
 
@@ -89,13 +87,12 @@ func (s *ObservationSink) Instrument(reg *telemetry.Registry, name string) {
 // (archival.FormatForPath). Without resume the file is created afresh and
 // done is nil. With resume it is prepared to finish an interrupted campaign
 // in four steps: archival.Repair cuts a torn trailing row; CutRunTail drops
-// the final run group, which the interrupt may have cut short, along with
-// the error-record groups directly before it; the error-free records that
-// remain form done; and the sink appends after them. No partial run can
-// survive, and the dropped runs re-execute (seeds make them byte-identical).
-// Dropping the trailing error groups keeps a re-run from landing next to a
-// group of its own run, where the two would read back as one record. The
-// caller closes f after flushing the sink.
+// the final run group, which the interrupt may have cut short; the
+// error-free records that remain form done; and the sink appends after
+// them. No partial run can survive, and the cut run re-executes (seeds make
+// it byte-identical). A file that is not an observation archive, such as
+// the record JSONL of earlier versions, is refused before anything is cut.
+// The caller closes f after flushing the sink.
 func OpenArchive(path string, resume bool) (sink *ObservationSink, f *os.File, done map[DoneKey]bool, err error) {
 	format := archival.FormatForPath(path)
 	if !resume {
@@ -107,11 +104,7 @@ func OpenArchive(path string, resume bool) (sink *ObservationSink, f *os.File, d
 	if _, err := archival.Repair(path); err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := CutRunTail(path, func(group []archival.Observation, final bool) bool {
-		return final || slices.ContainsFunc(group, func(o archival.Observation) bool {
-			return o.Type == archival.TypeError
-		})
-	}); err != nil {
+	if _, err := CutRunTail(path, func([]archival.Observation) bool { return true }); err != nil {
 		return nil, nil, nil, err
 	}
 	if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err != nil {

@@ -262,15 +262,15 @@ func TestReadJSONLResumeCleanFile(t *testing.T) {
 	}
 }
 
-func TestResumeDropsTrailingErrorRuns(t *testing.T) {
+func TestResumeKeepsErrorRunApartFromRerun(t *testing.T) {
 	good := fakeRecord("open", "overt-dns", 0)
 	failed := fakeRecord("open", "overt-dns", 1)
 	failed.Verdict, failed.Correct, failed.Error = "", false, "timeout"
 	last := fakeRecord("open", "overt-dns", 2)
 	path := writeArchiveFile(t, good, failed, last)
 
-	// The final run is cut as always, and the error run before it goes too:
-	// its re-run must not land next to it and read back merged with it.
+	// Only the final run is cut. The error run stays, out of the done set,
+	// and its re-run lands right after it without merging into it.
 	sink, f, done, err := OpenArchive(path, true)
 	if err != nil {
 		t.Fatal(err)
@@ -290,9 +290,67 @@ func TestResumeDropsTrailingErrorRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RunRecord{good, retried, last}
+	want := []RunRecord{good, failed, retried, last}
 	if got := readRecords(t, bytes.NewReader(raw)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed records:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestResumeRefusesLegacyRecordJSONL: earlier versions wrote one record
+// object per line, which decodes into observations with no run ID or type.
+// Resume must refuse such a file before cutting anything.
+func TestResumeRefusesLegacyRecordJSONL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	var legacy bytes.Buffer
+	for i := 0; i < 3; i++ {
+		line, err := archival.MarshalLine(fakeRecord("dns-poison", "spam", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy.Write(line)
+	}
+	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := OpenArchive(path, true)
+	if err == nil || !strings.Contains(err.Error(), "measanalyze convert") {
+		t.Fatalf("resume on record JSONL: err = %v, want a refusal naming measanalyze convert", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, legacy.Bytes()) {
+		t.Fatal("a refused resume modified the file")
+	}
+}
+
+// TestCutRunTailRefusesForeignEncoding: rows that decode fine but were not
+// written by an ObservationSink (here, reformatted the way a JSON tool
+// might) do not re-encode to the file's bytes, so the cut offset would be
+// wrong. CutRunTail must refuse and leave the file alone.
+func TestCutRunTailRefusesForeignEncoding(t *testing.T) {
+	path := writeArchiveFile(t, fakeRecord("open", "overt-dns", 0), fakeRecord("open", "overt-dns", 1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := bytes.ReplaceAll(raw, []byte(`,"`), []byte(`, "`))
+	if err := os.WriteFile(path, spaced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if len(readRecords(t, bytes.NewReader(spaced))) != 2 {
+		t.Fatal("the reformatted archive should still read back")
+	}
+	if cut, err := CutRunTail(path, func([]archival.Observation) bool { return true }); err == nil || cut {
+		t.Fatalf("CutRunTail on a reformatted archive: cut=%v err=%v, want a refusal", cut, err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, spaced) {
+		t.Fatal("a refused cut modified the file")
 	}
 }
 

@@ -362,11 +362,8 @@ func (st *Store) pendingOrdered() []JournalEntry {
 // group may be torn and is dropped whole. Its admit stays pending, so the
 // run re-executes and re-archives — a duplicate-free archive either way.
 func (st *Store) truncateUndoneTail() error {
-	_, err := campaign.CutRunTail(st.archivePath, func(group []archival.Observation, final bool) bool {
-		if !final {
-			return false
-		}
-		_, isPending := st.pending[campaign.ObservationSpec(group[0]).CellKey()]
+	_, err := campaign.CutRunTail(st.archivePath, func(final []archival.Observation) bool {
+		_, isPending := st.pending[campaign.ObservationSpec(final[0]).CellKey()]
 		return isPending
 	})
 	return err

@@ -3,6 +3,7 @@ package measured
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -368,5 +369,50 @@ func TestWarmStartServesByteIdenticalCacheHits(t *testing.T) {
 	defer tr.mu.Unlock()
 	if len(tr.keys) != 0 {
 		t.Fatalf("warm restart executed %d cells, want 0 (all cache hits)", len(tr.keys))
+	}
+}
+
+// gateWriter holds every write until gate closes.
+type gateWriter struct {
+	w    io.Writer
+	gate chan struct{}
+}
+
+func (gw gateWriter) Write(p []byte) (int, error) {
+	<-gw.gate
+	return gw.w.Write(p)
+}
+
+// TestShutdownWaitsForArchiveWrites: a flight releases its waiters before
+// it writes its archive batch, so every client can have its results while
+// batches are still on their way to disk. Shutdown must not return until
+// they have landed, or closing the store right after loses them.
+func TestShutdownWaitsForArchiveWrites(t *testing.T) {
+	dir := t.TempDir()
+	ap := filepath.Join(dir, "arch.jsonl")
+	gate := make(chan struct{})
+	st := mustOpenStore(t, StoreConfig{Journal: filepath.Join(dir, "wal"), Archive: ap,
+		WrapArchive: func(w io.Writer) io.Writer { return gateWriter{w, gate} }})
+	svc := New(Config{Workers: 4, Execute: stubExec, Store: st})
+	specs := recoverySpecs()[:3] // fewer than the workers: blocked batches hold no dispatch back
+	driveAll(t, svc, "a", specs)
+
+	shut := make(chan error, 1)
+	go func() { shut <- svc.Shutdown(context.Background()) }()
+	select {
+	case err := <-shut:
+		close(gate)
+		t.Fatalf("Shutdown returned (err %v) while archive batches were still unwritten", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(archivedRecords(t, ap)); got != len(specs) {
+		t.Fatalf("archive holds %d records after shutdown, want %d", got, len(specs))
 	}
 }

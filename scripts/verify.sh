@@ -161,8 +161,11 @@ check_resumed "$tmp/smoke.jsonl"
 pid=$!
 sleep 1
 kill -9 "$pid"
-wait "$pid" || true
+rc=0
+wait "$pid" || rc=$?
+test "$rc" -eq 137
 test -s "$tmp/kill.jsonl"
+test "$(grep -c '"type":"verdict"' "$tmp/kill.jsonl")" -lt 1500
 "$tmp/campaign" -resume -scenarios dns-poison -trials 500 -workers 2 \
   -out "$tmp/kill.jsonl" > /dev/null
 check_resumed "$tmp/kill.jsonl"
