@@ -12,6 +12,13 @@
 //
 //	NewPlan → Run(plan, Options{Workers, OnRecord: sink.Record}) → Aggregate
 //
+// Pool is the one worker pool that executes runs: per-run timeout, drain
+// grace, the abandoned-run claim gate, breakers, hedging and the per-run
+// metrics all live in its worker loop. Run and RunContext drive a Pool
+// through one plan and keep only the per-plan concerns (plan-ordered
+// records, the failure budget, the stall watchdog, callback guarding); the
+// measured service submits to one long-lived Pool.
+//
 // Each run builds its own lab.Lab and drains it in virtual time, so runs
 // never share state and the only nondeterminism a worker pool introduces is
 // completion *order*; sorting the archive rows of two campaigns with equal

@@ -143,11 +143,11 @@ func TestRunRecoversPanics(t *testing.T) {
 	boom := p.Specs[2]
 	recs, err := Run(p, Options{
 		Workers: 2,
-		Execute: func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			if spec.Index == boom.Index {
 				panic("lab exploded")
 			}
-			rec := Execute(spec, horizon)
+			rec := Execute(spec, 0)
 			claim()
 			return rec
 		},
@@ -174,7 +174,7 @@ func TestRunTimesOutWedgedRuns(t *testing.T) {
 	recs, err := Run(p, Options{
 		Workers: 2,
 		Timeout: 20 * time.Millisecond,
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			if spec.Index == 0 {
 				time.Sleep(5 * time.Second) // a wedged simulator
 			}
@@ -218,7 +218,7 @@ func TestAbandonedRunPublishesNothing(t *testing.T) {
 			Workers: workers,
 			Timeout: 20 * time.Millisecond,
 			Metrics: reg,
-			Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+			Execute: func(spec RunSpec, claim func() bool) RunRecord {
 				if spec.Index == wedged.Index {
 					time.Sleep(wedge)
 				}

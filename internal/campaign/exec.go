@@ -86,8 +86,8 @@ func recordBehavior(name string) string {
 	return name
 }
 
-// DefaultTraceCap bounds each run's trace ring when ExecConfig leaves
-// TraceCap zero; the ring keeps the newest events and counts drops.
+// DefaultTraceCap bounds each run's trace ring; the ring keeps the newest
+// events and counts drops.
 const DefaultTraceCap = 8192
 
 // ExecConfig parameterizes ExecuteInstrumented.
@@ -99,10 +99,9 @@ type ExecConfig struct {
 	// across runs — every metric is atomic and commutative, so final
 	// values are independent of worker count).
 	Metrics *telemetry.Registry
-	// Trace enables per-run packet-path tracing into a private ring.
+	// Trace enables per-run packet-path tracing into a private ring of
+	// DefaultTraceCap events.
 	Trace bool
-	// TraceCap bounds the ring; 0 means DefaultTraceCap.
-	TraceCap int
 	// Retry is the per-probe retry policy (virtual-time backoff + jitter);
 	// the zero value means core.DefaultRetryPolicy(). Set
 	// core.SingleShot() for the legacy one-probe behaviour.
@@ -152,11 +151,7 @@ func ExecuteInstrumented(spec RunSpec, cfg ExecConfig) (RunRecord, []telemetry.E
 	} // on error, lab.New recompiles and reports the same failure per run
 	var ring *telemetry.Ring
 	if cfg.Trace {
-		capacity := cfg.TraceCap
-		if capacity <= 0 {
-			capacity = DefaultTraceCap
-		}
-		ring = telemetry.NewRing(capacity)
+		ring = telemetry.NewRing(DefaultTraceCap)
 		labCfg.Trace = telemetry.NewTracer(ring)
 	}
 	events := func() []telemetry.Event {

@@ -32,7 +32,7 @@ func TestRunContextCancelStopsDispatch(t *testing.T) {
 	recs, err := RunContext(ctx, p, Options{
 		Workers: 1,
 		Grace:   -1, // drain fully
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			executed.Add(1)
 			if spec.Index == 1 {
 				cancel() // interrupt mid-campaign, from inside a run
@@ -82,7 +82,7 @@ func TestRunContextGraceAbandonsStuckRuns(t *testing.T) {
 	recs, err := RunContext(ctx, p, Options{
 		Workers: 1,
 		Grace:   20 * time.Millisecond,
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			cancel()
 			<-release // wedged through cancel and grace
 			settled <- claim()
@@ -117,7 +117,7 @@ func TestCallbackPanicDoesNotKillWorkers(t *testing.T) {
 		recs, err = Run(p, Options{
 			Workers: 1, // a single worker: one unrecovered panic would deadlock dispatch
 			Metrics: reg,
-			Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+			Execute: func(spec RunSpec, claim func() bool) RunRecord {
 				rec := stubRecord(spec)
 				claim()
 				return rec
@@ -186,7 +186,7 @@ func TestTimeoutLosesClaimRaceToRun(t *testing.T) {
 	recs, err := Run(p, Options{
 		Workers: 1,
 		Timeout: 25 * time.Millisecond,
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			if !claim() {
 				t.Error("run lost the claim before the timeout could have fired")
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +23,7 @@ const DefaultGrace = 10 * time.Second
 // drain-grace expiry) or a hedged sibling attempt completed first, in which
 // case the executor must not publish any side effects (traces, shared
 // metrics).
-type Executor func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord
+type Executor func(spec RunSpec, claim func() bool) RunRecord
 
 // ErrBudgetExceeded is wrapped into RunContext's returned error when the
 // campaign aborted because its failure budget was spent. The partial records
@@ -53,6 +52,18 @@ type FailureBudget struct {
 	MinRuns int
 }
 
+// Exceeded reports whether errs errored runs out of completed (breaker skips
+// excluded from both) spend the budget: at least MinRuns have completed and
+// the error fraction is above Fraction. RunContext and the measured service
+// trip on this one rule.
+func (b FailureBudget) Exceeded(completed, errs int) bool {
+	minRuns := b.MinRuns
+	if minRuns <= 0 {
+		minRuns = DefaultBudgetMinRuns
+	}
+	return completed >= minRuns && float64(errs)/float64(completed) > b.Fraction
+}
+
 // budgetState tracks completed/errored runs and trips at most once.
 type budgetState struct {
 	mu        sync.Mutex
@@ -71,18 +82,11 @@ func (b *budgetState) observe(failed bool) bool {
 	if failed {
 		b.errors++
 	}
-	minRuns := b.budget.MinRuns
-	if minRuns <= 0 {
-		minRuns = DefaultBudgetMinRuns
-	}
-	if b.tripped || b.completed < minRuns {
+	if b.tripped || !b.budget.Exceeded(b.completed, b.errors) {
 		return false
 	}
-	if float64(b.errors)/float64(b.completed) > b.budget.Fraction {
-		b.tripped = true
-		return true
-	}
-	return false
+	b.tripped = true
+	return true
 }
 
 // snapshot returns the counts at (or after) the trip for the error message.
@@ -119,19 +123,50 @@ type HedgeConfig struct {
 // enabled reports whether any hedging mode is configured.
 func (h HedgeConfig) enabled() bool { return h.Delay > 0 || h.Quantile > 0 }
 
-// hedgeRuntime is the pool's per-campaign hedging state: a delay oracle and
-// the two counters.
+// hedgeRuntime is a pool's hedging state: a delay oracle and the two
+// counters.
 type hedgeRuntime struct {
 	delay    func() time.Duration // 0 means "do not hedge this run"
 	launched *telemetry.Counter
 	wins     *telemetry.Counter
 }
 
+// runtime builds the hedging state for a pool whose wall-clock run latencies
+// land in wall; nil when hedging is off.
+func (h HedgeConfig) runtime(m *telemetry.Registry, wall *telemetry.Histogram) *hedgeRuntime {
+	if !h.enabled() {
+		return nil
+	}
+	minSamples := h.MinSamples
+	if minSamples <= 0 {
+		minSamples = DefaultHedgeMinSamples
+	}
+	return &hedgeRuntime{
+		launched: m.Counter("campaign_hedged_runs_total"),
+		wins:     m.Counter("campaign_hedge_wins_total"),
+		delay: func() time.Duration {
+			if h.Delay > 0 {
+				return h.Delay
+			}
+			if wall.Count() < int64(minSamples) {
+				return 0
+			}
+			d := time.Duration(wall.Quantile(h.Quantile) * float64(time.Second))
+			if d < time.Millisecond {
+				d = time.Millisecond
+			}
+			return d
+		},
+	}
+}
+
 // DefaultStallFactor sets the stall watchdog threshold to this multiple of
 // the per-run timeout when Options.StallAfter is 0.
 const DefaultStallFactor = 3
 
-// Options parameterizes Run.
+// Options parameterizes Run. RunContext executes every run on a Pool built
+// from Workers, Timeout, Grace, Retry, Breakers, Metrics, Hedge and the
+// executor; the remaining fields are per-plan concerns the driver keeps.
 type Options struct {
 	// Workers bounds concurrency; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -144,9 +179,6 @@ type Options struct {
 	// before the pool abandons it with an error record. 0 means
 	// DefaultGrace; negative drains fully, however long runs take.
 	Grace time.Duration
-	// Horizon is the population cover-traffic horizon per run; 0 means
-	// DefaultHorizon.
-	Horizon time.Duration
 	// Retry is the per-probe retry policy threaded into every run; the zero
 	// value means core.DefaultRetryPolicy(). core.SingleShot() reproduces
 	// the pre-resilience scoring.
@@ -161,8 +193,8 @@ type Options struct {
 	// runs drain within Grace, and RunContext returns the plan-ordered
 	// partial records with ErrBudgetExceeded. nil never aborts.
 	Budget *FailureBudget
-	// Hedge enables hedged execution for stragglers; the zero value is off
-	// and byte-identical to the unhedged pool.
+	// Hedge enables hedged execution for stragglers in the pool's workers;
+	// the zero value is off and byte-identical to the unhedged pool.
 	Hedge HedgeConfig
 	// StallAfter arms the stall watchdog: if no run completes for this
 	// long while the campaign is mid-flight, campaign_watchdog_stalls_total
@@ -187,12 +219,11 @@ type Options struct {
 	// integer sum, final values are independent of Workers. Only the
 	// wall-clock histogram varies run to run.
 	Metrics *telemetry.Registry
-	// OnTrace, when set, enables per-run packet-path tracing and receives
-	// each run's event stream as it completes. Like OnRecord it may be
-	// called from multiple workers at once and is panic-guarded.
+	// OnTrace, when set, enables per-run packet-path tracing (each run's
+	// ring holds DefaultTraceCap events) and receives each run's event
+	// stream as it completes. Like OnRecord it may be called from multiple
+	// workers at once and is panic-guarded.
 	OnTrace func(RunTrace)
-	// TraceCap bounds each run's trace ring; 0 means DefaultTraceCap.
-	TraceCap int
 	// Execute overrides the per-spec executor — chaos wrappers and tests
 	// exercise the pool's recovery paths with it; nil means the
 	// instrumented default (see Executor for the claim contract).
@@ -216,7 +247,7 @@ func familyOf(technique string) string {
 // Options.Execute is nil: per-run staged metrics, optional tracing, and the
 // claim gate before any shared-state publication.
 func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor {
-	return func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord {
+	return func(spec RunSpec, claim func() bool) RunRecord {
 		// Hot-path metrics stage in a registry private to this run and
 		// merge into the shared one only if the run still owns its slot:
 		// a goroutine the pool abandoned at the timeout — or a hedged
@@ -227,11 +258,9 @@ func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor 
 			staged = telemetry.NewRegistry()
 		}
 		rec, events := ExecuteInstrumented(spec, ExecConfig{
-			Horizon:  horizon,
-			Metrics:  staged,
-			Trace:    opts.OnTrace != nil,
-			TraceCap: opts.TraceCap,
-			Retry:    opts.Retry,
+			Metrics: staged,
+			Trace:   opts.OnTrace != nil,
+			Retry:   opts.Retry,
 		})
 		if !claim() {
 			return rec // abandoned or out-hedged: another record went out
@@ -257,12 +286,14 @@ func Run(plan *Plan, opts Options) ([]RunRecord, error) {
 	return RunContext(context.Background(), plan, opts)
 }
 
-// RunContext is Run with a lifecycle: when ctx is canceled the pool stops
-// dispatching, lets in-flight runs drain within Options.Grace (then abandons
-// them with error records, behind the same claim gate as the timeout path),
-// and returns the records of every run that was dispatched — still in plan
-// order — together with ctx.Err(). A tripped failure budget takes the same
-// drain path but returns ErrBudgetExceeded instead. Undispatched specs
+// RunContext is Run with a lifecycle. It drives a Pool through the plan:
+// one feeder per worker submits specs in plan order and collects their
+// records. When ctx is canceled, dispatch stops, the pool's context cancels
+// so in-flight runs drain within Options.Grace (then the pool abandons them
+// with error records, behind the same claim gate as the timeout path), and
+// RunContext returns the records of every run that was dispatched — still in
+// plan order — together with ctx.Err(). A tripped failure budget takes the
+// same drain path but returns ErrBudgetExceeded instead. Undispatched specs
 // simply produce no record, which is exactly the shape -resume needs to
 // finish the campaign later. A panic in OnRecord/OnTrace is recovered,
 // counted, and retained as the returned error; the campaign keeps draining
@@ -271,26 +302,11 @@ func RunContext(ctx context.Context, plan *Plan, opts Options) ([]RunRecord, err
 	if plan == nil || len(plan.Specs) == 0 {
 		return nil, fmt.Errorf("campaign: empty plan")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(plan.Specs) {
-		workers = len(plan.Specs)
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = 60 * time.Second
-	}
-	grace := opts.Grace
-	if grace == 0 {
-		grace = DefaultGrace
-	}
 
 	// Callback panics are recovered where the callback is invoked, counted,
 	// and the first one is retained as the campaign error: a failing sink
-	// must degrade to a reported error, never to a dead worker silently
-	// stranding the unbuffered spec feed.
+	// must degrade to a reported error, never to a dead goroutine silently
+	// stranding the rest of the plan.
 	var cbMu sync.Mutex
 	var cbErr error
 	cbPanics := opts.Metrics.Counter("campaign_callback_panics_total")
@@ -311,184 +327,90 @@ func RunContext(ctx context.Context, plan *Plan, opts Options) ([]RunRecord, err
 	if execute == nil {
 		execute = opts.defaultExecutor(guard)
 	}
-	opts.Breakers.instrument(opts.Metrics)
 
-	// Pool-level metrics. Every handle is nil-safe, so a nil registry costs
-	// one comparison per use. The wall-clock histogram is the only
-	// nondeterministic metric; the virtual-time one depends only on seeds.
-	queued := opts.Metrics.Gauge("campaign_queue_depth")
-	inflight := opts.Metrics.Gauge("campaign_runs_inflight")
-	var wallHist, virtHist *telemetry.Histogram
-	if opts.Metrics != nil {
-		wallHist = opts.Metrics.HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
-		virtHist = opts.Metrics.HistogramBuckets("campaign_run_virtual_ms", 1, 2, 24)
-	}
-	queued.Set(int64(len(plan.Specs)))
-
-	// Hedging: a quantile-derived delay needs the wall histogram even when
-	// the campaign publishes no metrics, so give it a private one.
-	var hedge *hedgeRuntime
-	if opts.Hedge.enabled() {
-		cfg := opts.Hedge
-		if cfg.Delay <= 0 && wallHist == nil {
-			wallHist = telemetry.NewRegistry().HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
-		}
-		minSamples := cfg.MinSamples
-		if minSamples <= 0 {
-			minSamples = DefaultHedgeMinSamples
-		}
-		hist := wallHist
-		hedge = &hedgeRuntime{
-			launched: opts.Metrics.Counter("campaign_hedged_runs_total"),
-			wins:     opts.Metrics.Counter("campaign_hedge_wins_total"),
-			delay: func() time.Duration {
-				if cfg.Delay > 0 {
-					return cfg.Delay
-				}
-				if hist.Count() < int64(minSamples) {
-					return 0
-				}
-				d := time.Duration(hist.Quantile(cfg.Quantile) * float64(time.Second))
-				if d < time.Millisecond {
-					d = time.Millisecond
-				}
-				return d
-			},
-		}
-	}
-
-	// The failure budget aborts through a context derived from the caller's:
-	// dispatch and the drain-grace machinery see one cancellation signal
-	// whether the user interrupted or the budget tripped; the two cases are
-	// told apart after the pool drains.
+	// The failure budget aborts through a context derived from the caller's,
+	// and the pool's context derives from that: dispatch and the
+	// drain-grace machinery see one cancellation signal whether the user
+	// interrupted or the budget tripped; the two cases are told apart after
+	// the pool drains.
 	runCtx, abort := context.WithCancel(ctx)
 	defer abort()
+	pool := newPool(runCtx, PoolConfig{
+		Workers:  min(opts.Workers, len(plan.Specs)),
+		Timeout:  opts.Timeout,
+		Grace:    opts.Grace,
+		Retry:    opts.Retry,
+		Breakers: opts.Breakers,
+		Metrics:  opts.Metrics,
+		Execute:  execute,
+		hedge:    opts.Hedge,
+	})
 	var budget *budgetState
 	budgetTrips := opts.Metrics.Counter("campaign_budget_aborts_total")
 	if opts.Budget != nil {
 		budget = &budgetState{budget: *opts.Budget}
 	}
+	queued := opts.Metrics.Gauge("campaign_queue_depth")
+	queued.Set(int64(len(plan.Specs)))
 
-	// Stall watchdog: fires when no record has completed for stallAfter
-	// while the campaign is still mid-flight — the signature of every worker
-	// wedged at once (or a deadlock this layer introduced), which per-run
-	// timeouts alone cannot distinguish from slow progress.
-	stallAfter := opts.StallAfter
-	if stallAfter == 0 && timeout > 0 {
-		stallAfter = DefaultStallFactor * timeout
-	}
 	var lastDone atomic.Int64
 	lastDone.Store(time.Now().UnixNano())
+	stallAfter := opts.StallAfter
+	if stallAfter == 0 && pool.timeout > 0 {
+		stallAfter = DefaultStallFactor * pool.timeout
+	}
 	if stallAfter > 0 {
-		stalls := opts.Metrics.Counter("campaign_watchdog_stalls_total")
-		stop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			period := stallAfter / 8
-			if period < 5*time.Millisecond {
-				period = 5 * time.Millisecond
-			}
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			fired := false
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-				}
-				idle := time.Since(time.Unix(0, lastDone.Load()))
-				if idle < stallAfter {
-					fired = false // progress resumed: re-arm for the next episode
-					continue
-				}
-				if fired {
-					continue // one report per stall episode
-				}
-				fired = true
-				stalls.Inc()
-				if opts.StallDump != nil {
-					fmt.Fprintf(opts.StallDump,
-						"campaign: watchdog: no run completed for %v (threshold %v); goroutine dump:\n",
-						idle.Round(time.Millisecond), stallAfter)
-					_, _ = telemetry.GoroutineDump(opts.StallDump)
-				}
-			}
-		}()
-		// The watchdog must be fully stopped before RunContext returns so a
-		// caller-owned StallDump writer is never written to after return.
-		defer func() { close(stop); <-watchDone }()
+		// Stopped before RunContext returns, so a caller-owned StallDump
+		// writer is never written to after return.
+		defer watchStalls(stallAfter, &lastDone,
+			opts.Metrics.Counter("campaign_watchdog_stalls_total"), opts.StallDump)()
 	}
 
+	// Feeders take plan positions in order and stop at the first spec
+	// Pool.Do refuses because runCtx is done (caller interrupt or budget
+	// abort); a spec the pool accepted always yields a record. records and
+	// dispatched are written per position here and read only after
+	// wg.Wait.
 	records := make([]RunRecord, len(plan.Specs))
-	specs := make(chan RunSpec)
+	dispatched := make([]bool, len(plan.Specs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(pool.Workers(), len(plan.Specs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for spec := range specs {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(plan.Specs) {
+					return
+				}
 				queued.Add(-1)
-				var rec RunRecord
-				allow, probe := opts.Breakers.Allow(spec)
-				if !allow {
-					// Skipped by an open breaker: an explicit error record
-					// with no execution, so the sink, aggregates, and a
-					// later -resume all see exactly which runs were shed.
-					rec = errorRecord(spec, errBreakerOpen)
-				} else {
-					inflight.Add(1)
-					start := time.Now()
-					rec = runGuarded(runCtx, spec, execute, opts.Horizon, timeout, grace, hedge)
-					wallHist.Observe(time.Since(start).Seconds())
-					inflight.Add(-1)
-					opts.Breakers.Record(spec, rec.Error != "", probe)
-					if budget != nil && budget.observe(rec.Error != "") {
-						budgetTrips.Inc()
-						abort()
-					}
+				rec, err := pool.Do(runCtx, plan.Specs[i])
+				if err != nil {
+					return
+				}
+				if budget != nil && !IsBreakerSkip(rec) && budget.observe(rec.Error != "") {
+					budgetTrips.Inc()
+					abort()
 				}
 				lastDone.Store(time.Now().UnixNano())
-				accountRun(opts.Metrics, spec, rec, virtHist)
-				records[spec.Index] = rec
+				records[i] = rec
+				dispatched[i] = true
 				if opts.OnRecord != nil {
 					guard("OnRecord", func() { opts.OnRecord(rec) })
 				}
 			}
 		}()
 	}
-	// Dispatch until the plan is exhausted or the run context cancels
-	// (caller interrupt or budget abort); specs already handed to a worker
-	// always produce a record (dispatched is written only here, before
-	// close, and read only after wg.Wait).
-	dispatched := make([]bool, len(plan.Specs))
-	ndispatched := 0
-dispatch:
-	for _, spec := range plan.Specs {
-		// The explicit Err check first: a select with a ready worker AND a
-		// canceled context picks randomly, which would leak specs into a
-		// campaign that already asked to stop.
-		if runCtx.Err() != nil {
-			break
-		}
-		select {
-		case specs <- spec:
-			dispatched[spec.Index] = true
-			ndispatched++
-		case <-runCtx.Done():
-			break dispatch
-		}
-	}
-	close(specs)
 	wg.Wait()
+	pool.Shutdown(context.Background()) // every worker is idle: returns at once
 
 	cbMu.Lock()
 	err := cbErr
 	cbMu.Unlock()
 	partialOf := func() []RunRecord {
 		queued.Set(0) // undispatched specs are no longer pending
-		partial := make([]RunRecord, 0, ndispatched)
+		partial := make([]RunRecord, 0, len(records))
 		for i, rec := range records {
 			if dispatched[i] {
 				partial = append(partial, rec)
@@ -497,11 +419,12 @@ dispatch:
 		return partial
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
+		partial := partialOf()
 		if m := opts.Metrics; m != nil {
 			m.Counter("campaign_cancel_total").Inc()
-			m.Counter("campaign_canceled_specs_total").Add(int64(len(plan.Specs) - ndispatched))
+			m.Counter("campaign_canceled_specs_total").Add(int64(len(plan.Specs) - len(partial)))
 		}
-		return partialOf(), errors.Join(ctxErr, err)
+		return partial, errors.Join(ctxErr, err)
 	}
 	if budget != nil {
 		if completed, errs, tripped := budget.snapshot(); tripped {
@@ -511,6 +434,50 @@ dispatch:
 		}
 	}
 	return records, err
+}
+
+// watchStalls runs the stall watchdog until the returned stop function is
+// called, which returns once the watchdog has exited. The watchdog fires
+// when no run has completed (lastDone, in Unix nanoseconds) for stallAfter —
+// the signature of every worker wedged at once (or a deadlock in the pool),
+// which per-run timeouts alone cannot distinguish from slow progress.
+func watchStalls(stallAfter time.Duration, lastDone *atomic.Int64, stalls *telemetry.Counter, dump io.Writer) (stop func()) {
+	quit := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		period := stallAfter / 8
+		if period < 5*time.Millisecond {
+			period = 5 * time.Millisecond
+		}
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		fired := false
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			idle := time.Since(time.Unix(0, lastDone.Load()))
+			if idle < stallAfter {
+				fired = false // progress resumed: re-arm for the next episode
+				continue
+			}
+			if fired {
+				continue // one report per stall episode
+			}
+			fired = true
+			stalls.Inc()
+			if dump != nil {
+				fmt.Fprintf(dump,
+					"campaign: watchdog: no run completed for %v (threshold %v); goroutine dump:\n",
+					idle.Round(time.Millisecond), stallAfter)
+				_, _ = telemetry.GoroutineDump(dump)
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
 }
 
 // attemptOut is one execution attempt's result, tagged with the attempt id
@@ -535,7 +502,7 @@ const poolAttempt int32 = -1
 // returned and every loser's staged telemetry is discarded by the gate it
 // failed. The wall-clock timeout spans the whole run, hedged or not.
 func runGuarded(ctx context.Context, spec RunSpec, execute Executor,
-	horizon, timeout, grace time.Duration, hedge *hedgeRuntime) RunRecord {
+	timeout, grace time.Duration, hedge *hedgeRuntime) RunRecord {
 	var claimed atomic.Bool
 	var winner atomic.Int32
 	claimFor := func(id int32) func() bool {
@@ -560,7 +527,7 @@ func runGuarded(ctx context.Context, spec RunSpec, execute Executor,
 					done <- attemptOut{errorRecord(spec, fmt.Errorf("panic: %v", p)), id}
 				}
 			}()
-			done <- attemptOut{execute(spec, horizon, claim), id}
+			done <- attemptOut{execute(spec, claim), id}
 		}()
 	}
 	launch(0)

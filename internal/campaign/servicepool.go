@@ -20,12 +20,16 @@ var ErrPoolClosed = errors.New("campaign: pool closed")
 
 // errPoolDraining marks records of specs that were queued when shutdown
 // abandoned the drain — explicit, like breaker skips, so callers can tell
-// "never ran" from "ran and failed".
+// "never ran" from "ran and failed". It is also the cause Shutdown cancels
+// the pool's context with, which is how a worker tells that abandonment
+// from a canceled parent context: under the latter, every spec a worker
+// takes still executes within the drain grace.
 var errPoolDraining = errors.New("skipped: pool draining")
 
-// PoolConfig parameterizes NewPool. The knobs mirror the per-campaign
-// Options where they overlap; callback plumbing (OnRecord/OnTrace) is
-// absent because a persistent pool returns each record to its submitter.
+// PoolConfig parameterizes NewPool. RunContext builds its pool from the
+// per-campaign Options; callback plumbing (OnRecord/OnTrace) is absent
+// because the pool returns each record to its submitter, and RunContext
+// guards its callbacks itself.
 type PoolConfig struct {
 	// Workers bounds concurrency; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -33,26 +37,28 @@ type PoolConfig struct {
 	// disables it.
 	Timeout time.Duration
 	// Grace bounds how long an in-flight run may keep executing after
-	// Shutdown's context expires before it is abandoned through the claim
-	// gate; 0 means DefaultGrace.
+	// Shutdown's context expires (or RunContext's campaign is canceled)
+	// before it is abandoned through the claim gate; 0 means DefaultGrace,
+	// negative drains fully.
 	Grace time.Duration
-	// Horizon is the population cover-traffic horizon per run; 0 means
-	// DefaultHorizon.
-	Horizon time.Duration
 	// Retry is the per-probe retry policy threaded into every run.
 	Retry core.RetryPolicy
 	// Breakers, when set, gates every run through the shared per-cell
 	// circuit breakers — service-wide, not per request, so a cell that
 	// keeps failing is shed no matter which client asks for it.
 	Breakers *BreakerSet
-	// Metrics receives the same pool counters RunContext publishes
-	// (campaign_runs_inflight, campaign_run_wall_seconds,
-	// campaign_run_virtual_ms, per-family run counters), so service-mode
-	// metrics stay comparable with batch-mode ones.
+	// Metrics receives the pool counters (campaign_runs_inflight,
+	// campaign_run_wall_seconds, campaign_run_virtual_ms, per-family run
+	// counters); batch campaigns and the service publish them from this
+	// one worker loop, so their metrics stay comparable.
 	Metrics *telemetry.Registry
-	// Execute overrides the per-spec executor (tests); nil means the
-	// instrumented default with staged-metrics claim semantics.
+	// Execute overrides the per-spec executor (RunContext's guarded
+	// default, chaos wrappers, tests); nil means the instrumented default
+	// with staged-metrics claim semantics.
 	Execute Executor
+	// hedge enables hedged execution of stragglers. Only RunContext sets it,
+	// from Options.Hedge; the service pool never hedges.
+	hedge HedgeConfig
 }
 
 // poolJob is one submitted spec plus the channel its record returns on.
@@ -61,22 +67,22 @@ type poolJob struct {
 	done chan RunRecord // buffered(1): the worker's send never blocks
 }
 
-// Pool is a persistent, bounded worker pool executing RunSpecs one at a
-// time — the long-running sibling of RunContext's per-campaign pool. Where
-// RunContext owns a whole plan and drains, a Pool outlives any plan: many
-// submitters share its workers concurrently (the measured service schedules
-// every client's runs onto one Pool), and the pool only stops at Shutdown.
-// Execution semantics are identical to the batch pool: per-run wall-clock
-// timeout, panic recovery, the abandoned-run claim gate, staged telemetry
-// merged only on claim, and per-cell breakers when configured.
+// Pool is the bounded worker pool that executes every run: per-run
+// wall-clock timeout, panic recovery, the abandoned-run claim gate, staged
+// telemetry merged only on claim, per-cell breakers and hedging when
+// configured. Many submitters share its workers concurrently. The measured
+// service keeps one Pool for its lifetime and schedules every client's runs
+// onto it; RunContext builds one per plan and drives it until the plan is
+// done. The pool only stops at Shutdown.
 type Pool struct {
 	cfg      PoolConfig
 	timeout  time.Duration
 	grace    time.Duration
 	execute  Executor
+	hedge    *hedgeRuntime
 	jobs     chan poolJob
 	ctx      context.Context
-	cancel   context.CancelFunc
+	cancel   context.CancelCauseFunc
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	closed   bool
@@ -89,7 +95,12 @@ type Pool struct {
 }
 
 // NewPool starts the workers and returns the running pool.
-func NewPool(cfg PoolConfig) *Pool {
+func NewPool(cfg PoolConfig) *Pool { return newPool(context.Background(), cfg) }
+
+// newPool is NewPool under a parent context: canceling parent gives
+// in-flight runs the drain grace, as an expired Shutdown does, but every
+// spec a worker has taken still executes.
+func newPool(parent context.Context, cfg PoolConfig) *Pool {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -102,7 +113,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	if grace == 0 {
 		grace = DefaultGrace
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(parent)
 	p := &Pool{
 		cfg:      cfg,
 		timeout:  timeout,
@@ -113,10 +124,15 @@ func NewPool(cfg PoolConfig) *Pool {
 		workers:  workers,
 		inflight: cfg.Metrics.Gauge("campaign_runs_inflight"),
 	}
-	if cfg.Metrics != nil {
-		p.wallHist = cfg.Metrics.HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
-		p.virtHist = cfg.Metrics.HistogramBuckets("campaign_run_virtual_ms", 1, 2, 24)
+	wallReg := cfg.Metrics
+	if wallReg == nil && cfg.hedge.Delay <= 0 && cfg.hedge.Quantile > 0 {
+		// A quantile-derived hedge delay needs the wall histogram even
+		// when the pool publishes no metrics, so give it a private one.
+		wallReg = telemetry.NewRegistry()
 	}
+	p.wallHist = wallReg.HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
+	p.virtHist = cfg.Metrics.HistogramBuckets("campaign_run_virtual_ms", 1, 2, 24)
+	p.hedge = cfg.hedge.runtime(cfg.Metrics, p.wallHist)
 	p.execute = cfg.Execute
 	if p.execute == nil {
 		// The default executor's callback guard is trivial here: a Pool has
@@ -142,7 +158,7 @@ func (p *Pool) worker() {
 		var rec RunRecord
 		allow, probe := p.cfg.Breakers.Allow(job.spec)
 		switch {
-		case p.ctx.Err() != nil:
+		case errors.Is(context.Cause(p.ctx), errPoolDraining):
 			// Shutdown abandoned the drain: fast-fail whatever is still
 			// queued instead of burning the grace per job.
 			rec = errorRecord(job.spec, errPoolDraining)
@@ -151,7 +167,7 @@ func (p *Pool) worker() {
 		default:
 			p.inflight.Add(1)
 			start := time.Now()
-			rec = runGuarded(p.ctx, job.spec, p.execute, p.cfg.Horizon, p.timeout, p.grace, nil)
+			rec = runGuarded(p.ctx, job.spec, p.execute, p.timeout, p.grace, p.hedge)
 			p.wallHist.Observe(time.Since(start).Seconds())
 			p.inflight.Add(-1)
 			p.cfg.Breakers.Record(job.spec, rec.Error != "", probe)
@@ -167,6 +183,11 @@ func (p *Pool) worker() {
 // is dispatched the run completes regardless (its record is still returned),
 // so shared consumers like a result cache never lose work a client paid for.
 func (p *Pool) Do(ctx context.Context, spec RunSpec) (RunRecord, error) {
+	// Checked before the select, which picks at random between a ready
+	// worker and a done ctx: a canceled submitter must never dispatch.
+	if err := ctx.Err(); err != nil {
+		return RunRecord{}, err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -212,7 +233,7 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 		select {
 		case <-waited:
 		case <-ctx.Done():
-			p.cancel()
+			p.cancel(errPoolDraining)
 			<-waited
 		}
 		close(p.jobs)
@@ -223,16 +244,14 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		p.cancel() // abandon in-flight runs after the pool grace
+		p.cancel(errPoolDraining) // abandon in-flight runs after the pool grace
 		<-done
 		return fmt.Errorf("campaign: pool shutdown: %w", ctx.Err())
 	}
 }
 
 // accountRun publishes the shared per-run campaign counters for one
-// completed record — one code path for the batch pool (RunContext) and the
-// persistent service pool, so service-mode metrics stay comparable with
-// batch-mode ones.
+// completed record, from the pool worker that produced it.
 func accountRun(m *telemetry.Registry, spec RunSpec, rec RunRecord, virtHist *telemetry.Histogram) {
 	if m == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // spec coordinates — enough for submitters to verify they got their own
 // result back.
 func stubExecutor() Executor {
-	return func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+	return func(spec RunSpec, claim func() bool) RunRecord {
 		rec := RunRecord{Scenario: spec.Scenario, Impairment: recordImpairment(spec.Impairment),
 			Trial: spec.Trial, Correct: true}
 		rec.Technique = spec.Technique
@@ -78,9 +79,9 @@ func TestPoolRejectsAfterShutdown(t *testing.T) {
 
 func TestPoolDoHonorsSubmitterContext(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+	exec := func(spec RunSpec, claim func() bool) RunRecord {
 		<-block
-		return stubExecutor()(spec, 0, claim)
+		return stubExecutor()(spec, claim)
 	}
 	p := NewPool(PoolConfig{Workers: 1, Timeout: -1, Execute: exec})
 	// Occupy the only worker.
@@ -99,11 +100,68 @@ func TestPoolDoHonorsSubmitterContext(t *testing.T) {
 	}
 }
 
+// TestPoolDoNeverDispatchesCanceledSubmitter: with a worker idle, Do's
+// select could pick the send as often as ctx.Done(), so a submitter whose
+// context was already canceled still ran about half the time.
+func TestPoolDoNeverDispatchesCanceledSubmitter(t *testing.T) {
+	var executed atomic.Int64
+	p := NewPool(PoolConfig{Workers: 1, Execute: func(spec RunSpec, claim func() bool) RunRecord {
+		executed.Add(1)
+		return stubExecutor()(spec, claim)
+	}})
+	defer p.Shutdown(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if _, err := p.Do(ctx, poolSpec(i)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Do %d with canceled ctx = %v, want context.Canceled", i, err)
+		}
+	}
+	if n := executed.Load(); n != 0 {
+		t.Fatalf("pool executed %d specs submitted with a canceled context", n)
+	}
+}
+
+// TestPoolCanceledParentExecutesTakenSpecs pins what RunContext relies on:
+// under a canceled parent context, a spec that reaches a worker still
+// executes (within the drain grace) and never comes back as a "skipped:
+// pool draining" record; only an expired Shutdown fast-fails specs.
+func TestPoolCanceledParentExecutesTakenSpecs(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	cancel()
+	var executed atomic.Int64
+	p := newPool(parent, PoolConfig{Workers: 1, Execute: func(spec RunSpec, claim func() bool) RunRecord {
+		executed.Add(1)
+		return stubExecutor()(spec, claim)
+	}})
+	defer p.Shutdown(context.Background())
+	// Do's select picks at random between the idle worker and the pool's
+	// done context, so keep submitting until some specs got through.
+	var taken int64
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; taken < 20; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d submissions reached the worker", taken, i)
+		}
+		rec, err := p.Do(context.Background(), poolSpec(i))
+		if err != nil {
+			continue // refused before any worker took it
+		}
+		taken++
+		if rec.Error != "" {
+			t.Fatalf("taken spec %d came back unexecuted: %q", i, rec.Error)
+		}
+	}
+	if n := executed.Load(); n != taken {
+		t.Fatalf("executed %d of %d taken specs", n, taken)
+	}
+}
+
 func TestPoolShutdownAbandonsOnExpiredContext(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+	exec := func(spec RunSpec, claim func() bool) RunRecord {
 		<-block
-		return stubExecutor()(spec, 0, claim)
+		return stubExecutor()(spec, claim)
 	}
 	p := NewPool(PoolConfig{Workers: 1, Timeout: -1, Grace: 10 * time.Millisecond, Execute: exec})
 	recCh := make(chan RunRecord, 1)

@@ -16,7 +16,7 @@ import (
 // techniques when any are given) with a fast stub record — no lab execution.
 func failingStub(failTechniques ...string) Executor {
 	failAll := len(failTechniques) == 0
-	return func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+	return func(spec RunSpec, claim func() bool) RunRecord {
 		fail := failAll
 		for _, tech := range failTechniques {
 			if spec.Technique == tech {
@@ -218,7 +218,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 		StallAfter: 30 * time.Millisecond,
 		StallDump:  &dump,
 		Metrics:    reg,
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
+		Execute: func(spec RunSpec, claim func() bool) RunRecord {
 			time.Sleep(250 * time.Millisecond) // a silent, wedged campaign
 			rec := RunRecord{Scenario: spec.Scenario, Trial: spec.Trial}
 			rec.Technique = spec.Technique

@@ -167,8 +167,8 @@ func (f *FaultyWriter) injectedErr() error {
 
 // passthrough is the executor used when a wrapper is given a nil inner: a
 // plain uninstrumented campaign run, claimed just before publication.
-func passthrough(spec campaign.RunSpec, horizon time.Duration, claim func() bool) campaign.RunRecord {
-	rec := campaign.Execute(spec, horizon)
+func passthrough(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
+	rec := campaign.Execute(spec, 0)
 	claim()
 	return rec
 }
@@ -182,12 +182,12 @@ func PanicEvery(n int, inner campaign.Executor) campaign.Executor {
 		inner = passthrough
 	}
 	var calls atomic.Int64
-	return func(spec campaign.RunSpec, horizon time.Duration, claim func() bool) campaign.RunRecord {
+	return func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		if c := calls.Add(1); n >= 1 && c%int64(n) == 0 {
 			panic(fmt.Sprintf("chaos: injected panic on executor call %d (%s/%s trial %d)",
 				c, spec.Technique, spec.Scenario, spec.Trial))
 		}
-		return inner(spec, horizon, claim)
+		return inner(spec, claim)
 	}
 }
 
@@ -200,11 +200,11 @@ func HangEvery(n int, hang time.Duration, inner campaign.Executor) campaign.Exec
 		inner = passthrough
 	}
 	var calls atomic.Int64
-	return func(spec campaign.RunSpec, horizon time.Duration, claim func() bool) campaign.RunRecord {
+	return func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		if c := calls.Add(1); n >= 1 && c%int64(n) == 0 {
 			time.Sleep(hang)
 		}
-		return inner(spec, horizon, claim)
+		return inner(spec, claim)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestFaultyWriterShortTearsPartialPrefix(t *testing.T) {
 }
 
 // stubExec returns a deterministic record without touching a lab.
-func stubExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func stubExec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	rec := campaign.RunRecord{Scenario: spec.Scenario, Trial: spec.Trial}
 	rec.Technique = spec.Technique
 	rec.Seed = spec.Seed
@@ -120,7 +120,7 @@ func TestPanicEverySchedule(t *testing.T) {
 				t.Fatalf("call %d: panic message %q", call, p)
 			}
 		}()
-		exec(spec, 0, func() bool { return true })
+		exec(spec, func() bool { return true })
 	}
 	for call := 1; call <= 7; call++ {
 		mustPanic(call, call%3 == 0)
@@ -132,12 +132,12 @@ func TestHangEverySleepsOnSchedule(t *testing.T) {
 	exec := HangEvery(2, hang, stubExec)
 	spec := campaign.RunSpec{Technique: "spam", Scenario: "dns-poison"}
 	start := time.Now()
-	exec(spec, 0, func() bool { return true }) // call 1: no hang
+	exec(spec, func() bool { return true }) // call 1: no hang
 	if el := time.Since(start); el >= hang {
 		t.Fatalf("call 1 hung for %v", el)
 	}
 	start = time.Now()
-	exec(spec, 0, func() bool { return true }) // call 2: hangs
+	exec(spec, func() bool { return true }) // call 2: hangs
 	if el := time.Since(start); el < hang {
 		t.Fatalf("call 2 returned after %v, want >= %v", el, hang)
 	}

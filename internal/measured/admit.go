@@ -279,17 +279,10 @@ func (s *Service) complete(fl *flight, rec campaign.RunRecord) {
 		if rec.Error != "" {
 			s.budgetErrors++
 		}
-		if b := s.cfg.Budget; b != nil && !s.degraded {
-			minRuns := b.MinRuns
-			if minRuns <= 0 {
-				minRuns = campaign.DefaultBudgetMinRuns
-			}
-			if s.budgetCompleted >= minRuns &&
-				float64(s.budgetErrors)/float64(s.budgetCompleted) > b.Fraction {
-				s.degraded = true
-				s.degradedG.Set(1)
-				s.budgetTrips.Inc()
-			}
+		if b := s.cfg.Budget; b != nil && !s.degraded && b.Exceeded(s.budgetCompleted, s.budgetErrors) {
+			s.degraded = true
+			s.degradedG.Set(1)
+			s.budgetTrips.Inc()
 		}
 	}
 	s.mu.Unlock()

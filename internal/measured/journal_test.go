@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"safemeasure/internal/archival"
 	"safemeasure/internal/campaign"
@@ -71,7 +70,7 @@ func richRec(spec campaign.RunSpec) campaign.RunRecord {
 }
 
 // richExec is an instant executor returning richRec for every spec.
-func richExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func richExec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	claim()
 	return richRec(spec)
 }

@@ -75,8 +75,6 @@ type Config struct {
 	// Grace bounds how long in-flight runs keep executing once a shutdown
 	// deadline has expired; 0 means campaign.DefaultGrace.
 	Grace time.Duration
-	// Horizon is the population cover-traffic horizon per run.
-	Horizon time.Duration
 	// Retry is the per-probe retry policy threaded into every run.
 	Retry core.RetryPolicy
 	// QueueMax bounds admitted-but-unscheduled runs across all clients;
@@ -225,7 +223,6 @@ func New(cfg Config) *Service {
 		Workers:  cfg.Workers,
 		Timeout:  cfg.Timeout,
 		Grace:    cfg.Grace,
-		Horizon:  cfg.Horizon,
 		Retry:    cfg.Retry,
 		Breakers: breakers,
 		Metrics:  cfg.Metrics,

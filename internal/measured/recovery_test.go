@@ -45,7 +45,7 @@ func newExecTracker() *execTracker {
 	return &execTracker{keys: make(map[campaign.CellKey]int)}
 }
 
-func (tr *execTracker) exec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func (tr *execTracker) exec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	claim()
 	tr.mu.Lock()
 	tr.keys[spec.CellKey()]++

@@ -24,7 +24,7 @@ func trialSpec(trial int) campaign.RunSpec {
 }
 
 // stubExec is a fast executor returning a success record for every spec.
-func stubExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func stubExec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	rec := campaign.RunRecord{Scenario: spec.Scenario, Trial: spec.Trial, Correct: true}
 	rec.Technique = spec.Technique
 	rec.Seed = spec.Seed
@@ -34,7 +34,7 @@ func stubExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaig
 }
 
 // failExec fails every run.
-func failExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func failExec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	rec := campaign.RunRecord{Scenario: spec.Scenario, Trial: spec.Trial,
 		Error: "stub: vantage dead"}
 	rec.Technique = spec.Technique
@@ -105,9 +105,9 @@ func TestRequestExpansionBounded(t *testing.T) {
 func TestAdmissionQueueBound(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	block := make(chan struct{})
-	exec := func(spec campaign.RunSpec, h time.Duration, claim func() bool) campaign.RunRecord {
+	exec := func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		<-block
-		return stubExec(spec, h, claim)
+		return stubExec(spec, claim)
 	}
 	svc := New(Config{Workers: 1, QueueMax: 2, Metrics: reg, Execute: exec})
 	defer func() {
@@ -261,13 +261,13 @@ func TestDedupJoinsInFlight(t *testing.T) {
 	block := make(chan struct{})
 	var runs int
 	var mu sync.Mutex
-	exec := func(spec campaign.RunSpec, h time.Duration, claim func() bool) campaign.RunRecord {
+	exec := func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		mu.Lock()
 		runs++
 		mu.Unlock()
 		entered <- struct{}{}
 		<-block
-		return stubExec(spec, h, claim)
+		return stubExec(spec, claim)
 	}
 	svc := New(Config{Workers: 2, Metrics: reg, Execute: exec})
 	defer svc.Shutdown(context.Background())
@@ -311,10 +311,10 @@ func TestDedupJoinsInFlight(t *testing.T) {
 func TestRoundRobinFairness(t *testing.T) {
 	entered := make(chan string)
 	step := make(chan struct{})
-	exec := func(spec campaign.RunSpec, h time.Duration, claim func() bool) campaign.RunRecord {
+	exec := func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		entered <- spec.Technique // overt-dns = alice, spam = bob
 		<-step
-		return stubExec(spec, h, claim)
+		return stubExec(spec, claim)
 	}
 	svc := New(Config{Workers: 1, Execute: exec})
 
@@ -414,10 +414,10 @@ func TestShutdownDrainsQueuedWork(t *testing.T) {
 func TestExpiredShutdownFailsExplicitly(t *testing.T) {
 	block := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	exec := func(spec campaign.RunSpec, h time.Duration, claim func() bool) campaign.RunRecord {
+	exec := func(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 		entered <- struct{}{}
 		<-block
-		return stubExec(spec, h, claim)
+		return stubExec(spec, claim)
 	}
 	svc := New(Config{Workers: 1, Grace: 10 * time.Millisecond, Timeout: -1, Execute: exec})
 	ps, err := svc.Admit("c", []campaign.RunSpec{trialSpec(1), trialSpec(2)})

@@ -33,7 +33,7 @@ func (l tinyBufListener) Accept() (net.Conn, error) {
 
 // paddedExec returns records with ~2KB of evidence so the response stream
 // overruns the shrunken socket buffers quickly.
-func paddedExec(spec campaign.RunSpec, _ time.Duration, claim func() bool) campaign.RunRecord {
+func paddedExec(spec campaign.RunSpec, claim func() bool) campaign.RunRecord {
 	claim()
 	rec := richRec(spec)
 	pad := strings.Repeat("x", 1024)

@@ -28,6 +28,11 @@ go test ./...
 go test -race ./internal/campaign ./internal/measured ./internal/telemetry ./internal/netsim ./internal/core ./internal/population ./internal/censor ./internal/ids
 go test -race ./internal/chaos
 
+# The benchmark harness is a nested module (perfbench/go.mod), so the root
+# ./... patterns above never reach it: vet and test it on its own, which
+# catches a campaign/measured API change that would break the benchmark.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Fuzz smoke pass over every wire decoder. The seed corpora always run as
 # plain tests (they are part of `go test ./...` above); the bounded
 # coverage-guided pass is opt-in because it costs ~5s per target.
