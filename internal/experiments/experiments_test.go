@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +100,24 @@ func TestE5SyriaFraction(t *testing.T) {
 	}
 	if r.Report.UsersWithDenial <= r.AnalystBudget {
 		t.Fatalf("implicated users %d not >> analyst budget", r.Report.UsersWithDenial)
+	}
+}
+
+// TestE5GoldenRender pins E5's rendered table at the paper's population, so
+// a change to the log generator that moves any count shows up here, not only
+// one that moves the fraction out of tolerance.
+func TestE5GoldenRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 4.6 M log entries")
+	}
+	const want = "571f9758429e8faf9f9d144c65dfec496a310e628b2f05944d8ddc6ba36580cd"
+	r, err := E5SyriaLogs(1, 21000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(r.Render()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("E5 render digest %s, want %s:\n%s", got, want, r.Render())
 	}
 }
 
