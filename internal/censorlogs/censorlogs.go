@@ -9,13 +9,19 @@
 // with a censored subset, per-user browsing volume, and a calibration
 // helper that turns a target "fraction of users with at least one censored
 // hit" into a per-request probability.
+//
+// Generate is built for the paper's scale (4.6 M entries at 21,000 users).
+// It draws every request into a 24-byte record, radix-sorts the records by
+// time (stable, so equal times keep generation order), and builds the
+// []Entry once at its exact length; the output is pinned by SHA-256 digests
+// in the tests.
 package censorlogs
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -85,19 +91,79 @@ func CalibrateReqProb(targetUserFrac float64, reqPerUser int) float64 {
 // categories a Blue Coat-style device stamps on denials.
 var denyCategories = []string{"social-media", "news-politics", "proxy-avoidance", "video", "instant-messaging"}
 
-// Generate produces the synthetic log, sorted by time.
+// rec is one request as drawn, before the time sort: 24 bytes where an
+// Entry is 56, so the sort moves less than half the memory. cat indexes
+// denyCategories, or is -1 for an allowed request.
+type rec struct {
+	t               int64
+	user, site, cat int32
+}
+
+// Generate produces the synthetic log, sorted by time. Entries with equal
+// times keep generation order: by user, then by that user's request order.
+//
+// It draws every request from one RNG stream into a compact record, sorts
+// the records with a stable LSD radix sort on the time, and only then
+// builds the []Entry, once and at its exact length.
 func Generate(cfg Config) []Entry {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	catalog := make([]string, cfg.Sites)
-	censoredCount := int(float64(cfg.Sites) * cfg.CensoredFrac)
-	for i := range catalog {
-		if i < censoredCount {
-			catalog[i] = fmt.Sprintf("censored%04d.test", i)
+	catalog, censoredCount := buildCatalog(cfg)
+	recs := draw(cfg, censoredCount)
+	recs = radixSortByTime(recs, make([]rec, len(recs)), cfg.Duration)
+	return toEntries(recs, catalog)
+}
+
+// toEntries expands records into log entries, in order.
+func toEntries(recs []rec, catalog []string) []Entry {
+	out := make([]Entry, len(recs))
+	for i, r := range recs {
+		e := &out[i]
+		e.Time, e.User, e.Site = time.Duration(r.t), int(r.user), catalog[r.site]
+		if r.cat < 0 {
+			e.Category, e.Action = "general", ActionAllow
 		} else {
-			catalog[i] = fmt.Sprintf("site%04d.test", i)
+			e.Category, e.Action = denyCategories[r.cat], ActionDeny
 		}
 	}
-	var out []Entry
+	return out
+}
+
+// buildCatalog names the sites: censored%04d.test for the first
+// censoredCount, site%04d.test after. All names share one backing string.
+func buildCatalog(cfg Config) (catalog []string, censoredCount int) {
+	censoredCount = int(float64(cfg.Sites) * cfg.CensoredFrac)
+	ends := make([]int, cfg.Sites)
+	b := make([]byte, 0, cfg.Sites*len("censored0000.test"))
+	for i := range ends {
+		if i < censoredCount {
+			b = append(b, "censored"...)
+		} else {
+			b = append(b, "site"...)
+		}
+		for d := 1000; d > 1 && i < d; d /= 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ".test"...)
+		ends[i] = len(b)
+	}
+	all, start := string(b), 0
+	catalog = make([]string, cfg.Sites)
+	for i, end := range ends {
+		catalog[i], start = all[start:end], end
+	}
+	return catalog, censoredCount
+}
+
+// draw makes every request in generation order (user, then request). The
+// order of RNG calls is the log's definition: changing it changes every
+// entry after the first difference.
+func draw(cfg Config, censoredCount int) []rec {
+	maxPerUser := cfg.ReqPerUser
+	if maxPerUser > 3 {
+		maxPerUser += maxPerUser/2 - maxPerUser/4 // the largest spread below
+	}
+	recs := make([]rec, 0, max(cfg.Users, 0)*max(maxPerUser, 0))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for u := 0; u < cfg.Users; u++ {
 		// Poisson-ish spread: +-25% of the mean.
 		n := cfg.ReqPerUser
@@ -105,26 +171,49 @@ func Generate(cfg Config) []Entry {
 			n = n - n/4 + rng.Intn(n/2+1)
 		}
 		for r := 0; r < n; r++ {
-			e := Entry{
-				Time: time.Duration(rng.Int63n(int64(cfg.Duration))),
-				User: u,
-			}
+			rc := rec{t: rng.Int63n(int64(cfg.Duration)), user: int32(u)}
 			if rng.Float64() < cfg.CensoredReqProb {
-				e.Site = catalog[rng.Intn(max(censoredCount, 1))]
-				e.Category = denyCategories[rng.Intn(len(denyCategories))]
-				e.Action = ActionDeny
+				rc.site = int32(rng.Intn(max(censoredCount, 1)))
+				rc.cat = int32(rng.Intn(len(denyCategories)))
 			} else {
 				// Zipf-ish popularity over the uncensored tail.
-				idx := censoredCount + zipfIndex(rng, cfg.Sites-censoredCount)
-				e.Site = catalog[idx]
-				e.Category = "general"
-				e.Action = ActionAllow
+				rc.site = int32(censoredCount + zipfIndex(rng, cfg.Sites-censoredCount))
+				rc.cat = -1
 			}
-			out = append(out, e)
+			recs = append(recs, rc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
+	return recs
+}
+
+// radixBits is the digit width of radixSortByTime: three passes cover the
+// 48 bits that two days of nanoseconds need.
+const radixBits = 16
+
+// radixSortByTime stably sorts recs by t, all of which lie in [0, limit),
+// using scratch (len(recs) long) as the other buffer. It returns whichever
+// of the two holds the result.
+func radixSortByTime(recs, scratch []rec, limit time.Duration) []rec {
+	const mask = 1<<radixBits - 1
+	count := make([]int, 1<<radixBits)
+	for shift := 0; int64(limit-1)>>shift > 0; shift += radixBits {
+		clear(count)
+		for _, r := range recs {
+			count[r.t>>shift&mask]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, r := range recs {
+			d := r.t >> shift & mask
+			scratch[count[d]] = r
+			count[d]++
+		}
+		recs, scratch = scratch, recs
+	}
+	return recs
 }
 
 // zipfIndex samples an index in [0, n) with approximately 1/(i+1) weights.
@@ -197,11 +286,4 @@ func Analyze(entries []Entry) Report {
 		rep.TopDeniedSites = rep.TopDeniedSites[:10]
 	}
 	return rep
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,8 +2,11 @@ package censorlogs
 
 import (
 	"math"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCalibrateReqProbInverts(t *testing.T) {
@@ -80,6 +83,55 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestGenerateTieOrder squeezes the log into a few nanoseconds so nearly
+// every timestamp is shared, and checks that equal times keep generation
+// order: the output equals a stable sort of the records as drawn.
+func TestGenerateTieOrder(t *testing.T) {
+	cfg := Config{Users: 60, Duration: 4 * time.Nanosecond, ReqPerUser: 20, Sites: 80,
+		CensoredFrac: 0.1, CensoredReqProb: 0.2, Seed: 11}
+	got := Generate(cfg)
+	if ties := countTies(got); ties < len(got)/2 {
+		t.Fatalf("only %d ties in %d entries", ties, len(got))
+	}
+	catalog, censoredCount := buildCatalog(cfg)
+	recs := draw(cfg, censoredCount)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].t < recs[j].t })
+	want := toEntries(recs, catalog)
+	if len(got) != len(want) {
+		t.Fatalf("entries = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+		if i > 0 && got[i].Time == got[i-1].Time && got[i].User < got[i-1].User {
+			t.Fatalf("entry %d: user %d after user %d at the same time", i, got[i].User, got[i-1].User)
+		}
+	}
+}
+
+// TestGenerateAllocationGate bounds what one Generate call allocates. The
+// counts come from runtime.MemStats, so unlike wall time they are the same
+// on every host: the compact records and their sort buffer cost less than
+// the []Entry itself, and the call makes a fixed handful of allocations
+// whatever the catalog size or log length.
+func TestGenerateAllocationGate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users = 2100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out := Generate(cfg)
+	runtime.ReadMemStats(&after)
+	entryBytes := float64(uintptr(len(out)) * unsafe.Sizeof(Entry{}))
+	if ratio := float64(after.TotalAlloc-before.TotalAlloc) / entryBytes; ratio > 2.5 {
+		t.Errorf("Generate allocated %.2fx its output's %.0f bytes, want <= 2.5x", ratio, entryBytes)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 16 {
+		t.Errorf("Generate made %d allocations, want <= 16", mallocs)
+	}
+}
+
 func TestAnalyzeCategoriesAndTopSites(t *testing.T) {
 	entries := []Entry{
 		{User: 1, Site: "censored0001.test", Category: "social-media", Action: ActionDeny},
@@ -115,15 +167,27 @@ func TestActionString(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateTwoDays times the two layers of E5 separately at 10 %
+// of the paper's population: the generator and the analyzer.
 func BenchmarkGenerateTwoDays(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Users = 2100 // 10% scale for the bench loop
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		entries := Generate(cfg)
-		rep := Analyze(entries)
-		if rep.Users == 0 {
-			b.Fatal("no users")
+	b.Run("Generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(Generate(cfg)) == 0 {
+				b.Fatal("no entries")
+			}
 		}
-	}
+	})
+	b.Run("Analyze", func(b *testing.B) {
+		entries := Generate(cfg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if Analyze(entries).Users == 0 {
+				b.Fatal("no users")
+			}
+		}
+	})
 }

@@ -17,13 +17,25 @@ import (
 // The analyzer can therefore run over exported files, not just in-memory
 // slices — the workflow Chaabane et al. actually had.
 
-// WriteTo serializes entries, one line each. Returns bytes written.
+// WriteTo serializes entries, one line each. Returns bytes written. Each
+// line is built in one reused buffer with the strconv calls fmt's %.3f and
+// %d use, so the bytes are those of the equivalent Fprintf.
 func WriteTo(w io.Writer, entries []Entry) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
+	var line []byte
 	for _, e := range entries {
-		c, err := fmt.Fprintf(bw, "%.3f\t%d\t%s\t%s\t%s\n",
-			e.Time.Seconds(), e.User, e.Site, e.Category, e.Action)
+		line = strconv.AppendFloat(line[:0], e.Time.Seconds(), 'f', 3, 64)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(e.User), 10)
+		line = append(line, '\t')
+		line = append(line, e.Site...)
+		line = append(line, '\t')
+		line = append(line, e.Category...)
+		line = append(line, '\t')
+		line = append(line, e.Action.String()...)
+		line = append(line, '\n')
+		c, err := bw.Write(line)
 		if err != nil {
 			return n, err
 		}
@@ -45,32 +57,35 @@ func ReadFrom(r io.Reader) ([]Entry, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("censorlogs: line %d: want 5 fields, got %d", lineNo, len(fields))
+		if tabs := strings.Count(line, "\t"); tabs != 4 {
+			return nil, fmt.Errorf("censorlogs: line %d: want 5 fields, got %d", lineNo, tabs+1)
 		}
-		secs, err := strconv.ParseFloat(fields[0], 64)
+		secsField, rest, _ := strings.Cut(line, "\t")
+		userField, rest, _ := strings.Cut(rest, "\t")
+		site, rest, _ := strings.Cut(rest, "\t")
+		category, actionField, _ := strings.Cut(rest, "\t")
+		secs, err := strconv.ParseFloat(secsField, 64)
 		if err != nil || secs < 0 {
-			return nil, fmt.Errorf("censorlogs: line %d: bad timestamp %q", lineNo, fields[0])
+			return nil, fmt.Errorf("censorlogs: line %d: bad timestamp %q", lineNo, secsField)
 		}
-		user, err := strconv.Atoi(fields[1])
+		user, err := strconv.Atoi(userField)
 		if err != nil || user < 0 {
-			return nil, fmt.Errorf("censorlogs: line %d: bad user %q", lineNo, fields[1])
+			return nil, fmt.Errorf("censorlogs: line %d: bad user %q", lineNo, userField)
 		}
 		var action Action
-		switch fields[4] {
+		switch actionField {
 		case "allow":
 			action = ActionAllow
 		case "deny":
 			action = ActionDeny
 		default:
-			return nil, fmt.Errorf("censorlogs: line %d: bad action %q", lineNo, fields[4])
+			return nil, fmt.Errorf("censorlogs: line %d: bad action %q", lineNo, actionField)
 		}
 		out = append(out, Entry{
 			Time:     time.Duration(secs * float64(time.Second)),
 			User:     user,
-			Site:     fields[2],
-			Category: fields[3],
+			Site:     site,
+			Category: category,
 			Action:   action,
 		})
 	}

@@ -2,6 +2,7 @@ package censorlogs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -69,5 +70,42 @@ func TestReadFromErrors(t *testing.T) {
 		if _, err := ReadFrom(strings.NewReader(c)); err != nil && !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("error lacks line number: %v", err)
 		}
+	}
+}
+
+// TestWriteToMatchesFprintf holds WriteTo's hand-built lines to the
+// fmt.Fprintf format it replaced, on a generated log plus timestamps that
+// round at the third decimal.
+func TestWriteToMatchesFprintf(t *testing.T) {
+	cfg := Config{Users: 40, Duration: 48 * time.Hour, ReqPerUser: 30, Sites: 300,
+		CensoredFrac: 0.05, CensoredReqProb: 0.05, Seed: 4}
+	entries := append(Generate(cfg),
+		Entry{Time: 0, User: 0, Site: "a.test", Category: "general"},
+		Entry{Time: 499_999, User: 1 << 40, Site: "b.test", Category: "video", Action: ActionDeny},
+		Entry{Time: 500_000, User: 7, Site: "", Category: ""},
+		Entry{Time: 1_999_999_999_999, User: 12, Site: "c.test", Category: "general"},
+		Entry{Time: -1, User: 3, Site: "d.test", Category: "general"},
+	)
+	var want bytes.Buffer
+	for _, e := range entries {
+		fmt.Fprintf(&want, "%.3f\t%d\t%s\t%s\t%s\n",
+			e.Time.Seconds(), e.User, e.Site, e.Category, e.Action)
+	}
+	var got bytes.Buffer
+	n, err := WriteTo(&got, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(got.Len()) {
+		t.Fatalf("reported %d bytes, wrote %d", n, got.Len())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := range wl {
+			if i >= len(gl) || gl[i] != wl[i] {
+				t.Fatalf("line %d: got %q, want %q", i+1, gl[min(i, len(gl)-1)], wl[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
 	}
 }
